@@ -94,10 +94,20 @@ def field(q) -> FieldContext:
     return FieldContext(*_FIELD_BY_ORDER[q])
 
 
+def _primitive(ctx):
+    """The smallest field code whose multiplicative order is q - 1."""
+    for z in ctx.elements()[1:]:
+        acc, order = z, 1
+        while acc != ctx.one:
+            acc, order = acc * z, order + 1
+        if order == ctx.q - 1:
+            return z
+
+
 def _gl2(q):
     ctx = field(q)
     # row operations: a primitive scaling, a transvection and the swap
-    z = 2 if q > 2 else 1
+    z = _primitive(ctx)
     gens = [Mat2.of(ctx, z, 0, 0, 1), Mat2.of(ctx, 1, 1, 0, 1),
             Mat2.of(ctx, 0, 1, 1, 0)]
     return group_from_matrices(gens, ctx, name=f"GL(2,{q})")
@@ -109,7 +119,7 @@ def _sl2(q):
     if q > 3:
         # transvections over the prime field only reach SL(2,p); add a torus
         # generator to cover the field extension
-        t = ctx.element(2)
+        t = _primitive(ctx)
         gens.append(Mat2(t, ctx.zero, ctx.zero, t.inv()))
     return group_from_matrices(gens, ctx, name=f"SL(2,{q})")
 

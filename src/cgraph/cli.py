@@ -32,6 +32,22 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 
+class InputError(click.ClickException):
+    """Bad input or a library error: one line on stderr, exit 2."""
+
+    exit_code = EXIT_USAGE
+
+
+class _Commands(click.Group):
+    """Reports any ValueError, bad input included, as an InputError."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
+
+
 def _load_group(name, param, path) -> tuple[FiniteGroup, str]:
     if path is not None:
         if name is not None:
@@ -39,18 +55,12 @@ def _load_group(name, param, path) -> tuple[FiniteGroup, str]:
         try:
             text = Path(path).read_text()
         except OSError as exc:
-            raise click.UsageError(f"cannot read {path}: {exc}")
-        try:
-            group = group_from_file_text(text)
-        except ValueError as exc:
-            raise click.UsageError(f"{path}: {exc}")
+            raise InputError(f"cannot read {path}: {exc}")
+        group = group_from_file_text(text)
         return group, group.name or Path(path).stem
     if name is None:
         raise click.UsageError("supply --name or --file")
-    try:
-        group = catalog.build(name, param)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    group = catalog.build(name, param)
     label = name if param is None else f"{name}{param}"
     return group, group.name or label
 
@@ -65,7 +75,7 @@ def _group_options(fn):
     return fn
 
 
-@click.group()
+@click.group(cls=_Commands)
 def main():
     """Genus of commuting graphs of finite non-abelian groups."""
 

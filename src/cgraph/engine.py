@@ -32,30 +32,36 @@ ORACLE_CAP_ENV = "CGRAPH_ORACLE_CAP"
 
 def oracle_cap_from_env(default=DEFAULT_ORACLE_EDGE_CAP) -> int:
     raw = os.environ.get(ORACLE_CAP_ENV)
-    return int(raw) if raw else default
+    try:
+        return int(raw) if raw else default
+    except ValueError:
+        raise ValueError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 # -- genus of an arbitrary graph ------------------------------------------
 
-def _block_genus(block: SimpleGraph, oracle_cap: int) -> GenusResult:
-    """Genus of a single block (or any connected graph)."""
+def _block_genus(block: SimpleGraph, oracle_cap: int):
+    """Shape (`K{n}`, `K{m},{n}` or `other`) and genus of a single block."""
     n = block.recognize_complete()
     if n is not None:
-        return GenusResult.exact(genus_complete(n), "CompleteFormula")
+        return f"K{n}", GenusResult.exact(genus_complete(n), "CompleteFormula")
     mn = block.recognize_complete_bipartite()
     if mn is not None:
-        return GenusResult.exact(genus_complete_bipartite(*mn), "BipartiteFormula")
+        return (f"K{mn[0]},{mn[1]}",
+                GenusResult.exact(genus_complete_bipartite(*mn), "BipartiteFormula"))
     if block.is_planar():
-        return GenusResult.exact(0, "PlanarTest")
+        return "other", GenusResult.exact(0, "PlanarTest")
     if block.edge_count <= oracle_cap:
-        return GenusResult.exact(genus_oracle(block, oracle_cap), "RotationOracle")
+        return "other", GenusResult.exact(genus_oracle(block, oracle_cap),
+                                          "RotationOracle")
     lower = genus_lower_bound_euler(block)
     provenance = ["EulerLower", "BettiUpper"]
     clique_lower = _clique_pair_lower_bound(block)
     if clique_lower > lower:
         lower = clique_lower
         provenance[0] = "DisjointCliqueLower"
-    return GenusResult.bounds(lower, genus_upper_bound_betti(block), provenance)
+    return "other", GenusResult.bounds(lower, genus_upper_bound_betti(block),
+                                       provenance)
 
 
 def _clique_pair_lower_bound(g: SimpleGraph) -> int:
@@ -71,16 +77,27 @@ def _clique_pair_lower_bound(g: SimpleGraph) -> int:
     return disjoint_clique_lower_bound(g, first, second)
 
 
+def _block_sum(g: SimpleGraph, oracle_cap: int):
+    """(blocks, shapes, results, total); an exact total is a "BlockSum"."""
+    decomposition = g.blocks()
+    resolved = [_block_genus(b, oracle_cap) for b in decomposition.block_subgraphs()]
+    results = tuple(result for _, result in resolved)
+    if all(r.is_exact for r in results):
+        total = GenusResult.exact(sum(r.value for r in results), "BlockSum")
+    else:
+        provenance = sorted({p for r in results if not r.is_exact
+                             for p in r.provenance})
+        total = GenusResult.bounds(sum(r.low() for r in results),
+                                   sum(r.high() for r in results), provenance)
+    return (decomposition.blocks, tuple(shape for shape, _ in resolved),
+            results, total)
+
+
 def genus_of_graph(g: SimpleGraph, oracle_cap=DEFAULT_ORACLE_EDGE_CAP) -> GenusResult:
     """Total genus: sum over connected components, each a sum over blocks."""
-    results = [_block_genus(b, oracle_cap) for b in g.blocks().block_subgraphs()]
-    if all(r.is_exact for r in results):
-        total = sum(r.value for r in results)
-        cert = results[0].certificate if len(results) == 1 else "BlockSum"
-        return GenusResult.exact(total, cert or "BlockSum")
-    provenance = sorted({p for r in results if not r.is_exact for p in r.provenance})
-    return GenusResult.bounds(sum(r.low() for r in results),
-                              sum(r.high() for r in results), provenance)
+    _, _, results, total = _block_sum(g, oracle_cap)
+    # an exact genus of a lone block keeps that block's certificate
+    return results[0] if len(results) == 1 and total.is_exact else total
 
 
 # -- commuting graphs ------------------------------------------------------
@@ -94,6 +111,7 @@ class CommutingGraphReport:
     vertex_elements: tuple   # vertex index -> group element index
     girth: float
     blocks: tuple            # vertex tuples of the commuting graph
+    block_shapes: tuple      # "K{n}", "K{m},{n}" or "other" per block
     block_results: tuple     # GenusResult per block
     total: GenusResult
     is_ac: bool
@@ -119,16 +137,7 @@ def commuting_graph(group: FiniteGroup,
     graph = commuting_graph_of(group)
     center = set(group.center())
     vertices = tuple(x for x in range(group.order) if x not in center)
-    decomposition = graph.blocks()
-    block_results = tuple(_block_genus(b, oracle_cap)
-                          for b in decomposition.block_subgraphs())
-    if all(r.is_exact for r in block_results):
-        total = GenusResult.exact(sum(r.value for r in block_results), "BlockSum")
-    else:
-        provenance = sorted({p for r in block_results
-                             if not r.is_exact for p in r.provenance})
-        total = GenusResult.bounds(sum(r.low() for r in block_results),
-                                   sum(r.high() for r in block_results), provenance)
+    blocks, shapes, block_results, total = _block_sum(graph, oracle_cap)
     is_ac = group.is_ac_group()
     family = group.centralizer_family() if is_ac else None
     return CommutingGraphReport(
@@ -136,7 +145,8 @@ def commuting_graph(group: FiniteGroup,
         graph=graph,
         vertex_elements=vertices,
         girth=graph.girth(),
-        blocks=decomposition.blocks,
+        blocks=blocks,
+        block_shapes=shapes,
         block_results=block_results,
         total=total,
         is_ac=is_ac,
@@ -341,22 +351,12 @@ def _genus_json(result: GenusResult):
             "certificate": "+".join(result.provenance)}
 
 
-def _block_type(block: SimpleGraph) -> str:
-    n = block.recognize_complete()
-    if n is not None:
-        return f"K{n}"
-    mn = block.recognize_complete_bipartite()
-    if mn is not None:
-        return f"K{mn[0]},{mn[1]}"
-    return "other"
-
-
 def report_to_json(report: CommutingGraphReport, name=None) -> dict:
     group = report.group
     blocks = []
-    for vertices, result in zip(report.blocks, report.block_results):
-        sub = report.graph.induced_subgraph(vertices)
-        entry = {"size": len(vertices), "type": _block_type(sub)}
+    for vertices, shape, result in zip(report.blocks, report.block_shapes,
+                                       report.block_results):
+        entry = {"size": len(vertices), "type": shape}
         entry["genus"] = result.value if result.is_exact else \
             {"lower": result.lower, "upper": result.upper}
         blocks.append(entry)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 MAX_ORDER = 16
@@ -25,45 +24,21 @@ DEFAULT_MODULI = {
 }
 
 
-def _poly_trim(coeffs):
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_divmod(a, b, p):
-    """Division with remainder of polynomials over GF(p); b must be nonzero."""
+def _poly_mod(a, modulus, p):
+    """The k low coefficients of a modulo a monic degree-k polynomial over GF(p)."""
     a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    lb_inv = pow(lb, p - 2, p) if p > 2 else lb
-    quo = [0] * max(len(a) - db, 0)
-    while len(_poly_trim(a)) - 1 >= db and any(a):
-        a = list(_poly_trim(a))
-        shift = len(a) - 1 - db
-        factor = (a[-1] * lb_inv) % p
-        quo[shift] = factor
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * bc) % p
-    return _poly_trim(quo), _poly_trim(a)
-
-
-def _is_irreducible(modulus, p):
-    """Exhaustive trial division by all lower-degree monic polynomials."""
     k = len(modulus) - 1
-    for d in range(1, k // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            divisor = tail + (1,)
-            _, rem = _poly_divmod(modulus, divisor, p)
-            if not rem:
-                return False
-    return True
+    for top in range(len(a) - 1, k - 1, -1):
+        factor = a[top]
+        for i, c in enumerate(modulus):
+            a[top - k + i] = (a[top - k + i] - factor * c) % p
+    return tuple(a[:k])
 
 
 class FieldContext:
     """A concrete field GF(p^k) with a fixed reduction polynomial."""
 
-    def __init__(self, p: int, k: int = 1, modulus=None):
+    def __init__(self, p: int, k: int = 1):
         if p not in SUPPORTED_PRIMES:
             raise ValueError(f"characteristic must be one of {SUPPORTED_PRIMES}, got {p}")
         if k < 1:
@@ -72,17 +47,7 @@ class FieldContext:
             raise ValueError(f"field order {p}^{k} exceeds the cap of {MAX_ORDER}")
         self.p = p
         self.k = k
-        if k == 1:
-            modulus = (0, 1) if modulus is None else tuple(c % p for c in modulus)
-        elif modulus is None:
-            modulus = DEFAULT_MODULI[(p, k)]
-        else:
-            modulus = tuple(c % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValueError("reduction polynomial must be monic of degree k")
-        if k > 1 and not _is_irreducible(modulus, p):
-            raise ValueError("reduction polynomial is reducible")
-        self.modulus = modulus
+        self.modulus = (0, 1) if k == 1 else DEFAULT_MODULI[(p, k)]
         self._build_tables()
 
     @property
@@ -115,9 +80,7 @@ class FieldContext:
                 for i, a in enumerate(cx):
                     for j, b in enumerate(cy):
                         raw[i + j] = (raw[i + j] + a * b) % p
-                _, rem = _poly_divmod(raw, self.modulus, p)
-                rem = rem + (0,) * (self.k - len(rem))
-                self._mul[x][y] = self._encode(rem)
+                self._mul[x][y] = self._encode(_poly_mod(raw, self.modulus, p))
         self._inv = [0] * q
         for x in range(1, q):
             for y in range(1, q):
@@ -245,10 +208,6 @@ class Mat2:
             raise ValueError("matrix is singular")
         f = det.inv()
         return Mat2(f * self.d, -(f * self.b), -(f * self.c), f * self.a)
-
-    def key(self):
-        """Hashable code tuple, used as a dict key during group closure."""
-        return (self.a.code, self.b.code, self.c.code, self.d.code)
 
     def __repr__(self):
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"

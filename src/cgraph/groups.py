@@ -8,6 +8,7 @@ the generators in the order given, which keeps labels deterministic.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,25 +22,31 @@ class ClosureCapError(ValueError):
     """Generator closure exceeded the configured element cap."""
 
 
-def _bfs_closure(identity, generators, mul, cap):
-    """Closure under right multiplication; returns elements in BFS order."""
+def _closure(identity, generators, mul, cap):
+    """(elements, table) of the group generated under `mul`, by BFS from the
+    identity over right multiplication by the generators in the order given.
+
+    Only the n*|S| products x*s use `mul`.  Each b but the identity is
+    parent(b)*s, so the table is filled by lookup, a*b = right[s][a*parent(b)].
+    """
     index = {identity: 0}
     elements = [identity]
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in generators:
-                h = mul(g, s)
-                if h not in index:
-                    if len(elements) >= cap:
-                        raise ClosureCapError(
-                            f"closure exceeds cap of {cap} elements")
-                    index[h] = len(elements)
-                    elements.append(h)
-                    nxt.append(h)
-        frontier = nxt
-    return elements, index
+    parents = [None]
+    right = [[] for _ in generators]
+    for x, g in enumerate(elements):  # `elements` grows while it is walked
+        for s, gen in enumerate(generators):
+            h = mul(g, gen)
+            if h not in index:
+                if len(elements) >= cap:
+                    raise ClosureCapError(f"closure exceeds cap of {cap} elements")
+                index[h] = len(elements)
+                elements.append(h)
+                parents.append((x, s))
+            right[s].append(index[h])
+    columns = [range(len(elements))]
+    for x, s in parents[1:]:
+        columns.append(list(map(right[s].__getitem__, columns[x])))
+    return elements, list(zip(*columns))
 
 
 class FiniteGroup:
@@ -325,9 +332,7 @@ def group_from_permutations(generators, cap=DEFAULT_CLOSURE_CAP, name=None) -> F
     for g in gens:
         if sorted(g) != list(range(m)):
             raise ValueError(f"generator {g} is not a bijection on 0..{m - 1}")
-    identity = tuple(range(m))
-    elements, index = _bfs_closure(identity, gens, _perm_compose, cap)
-    table = [[index[_perm_compose(a, b)] for b in elements] for a in elements]
+    elements, table = _closure(tuple(range(m)), gens, _perm_compose, cap)
     labels = [perm_cycle_label(p) for p in elements]
     return FiniteGroup(table, labels, name=name)
 
@@ -342,19 +347,8 @@ def group_from_matrices(generators, context: FieldContext,
         if not g.det():
             raise ValueError(f"generator {g} is singular")
         gens.append(g)
-    identity = Mat2.identity(context)
-    keyed = {identity.key(): identity}
-    keyed.update({g.key(): g for g in gens})
-
-    def mul(a_key, b_key):
-        prod = keyed[a_key] * keyed[b_key]
-        keyed.setdefault(prod.key(), prod)
-        return prod.key()
-
-    elements, index = _bfs_closure(identity.key(), [g.key() for g in gens],
-                                   mul, cap)
-    table = [[index[mul(a, b)] for b in elements] for a in elements]
-    labels = [repr(keyed[k]) for k in elements]
+    elements, table = _closure(Mat2.identity(context), gens, operator.mul, cap)
+    labels = [repr(g) for g in elements]
     return FiniteGroup(table, labels, name=name)
 
 
@@ -385,6 +379,27 @@ def direct_product(a: FiniteGroup, b: FiniteGroup,
     if name is None and a.name and b.name:
         name = f"{a.name} x {b.name}"
     return FiniteGroup(table, labels, name=name)
+
+
+def _check_associative(group: FiniteGroup) -> FiniteGroup:
+    """Light's test: (x*s)*y == x*(s*y) for all x, y and s in a generating set.
+
+    That suffices because the s passing it are closed under the product.  The
+    generating set is picked greedily, so the test costs O(n^2 |S|).
+    """
+    t, n = group.table, group.order
+    gens, reached = [], {0}
+    for g in range(n):
+        if g not in reached:
+            gens.append(g)
+            reached = group.subgroup_closure(gens)
+    for s in gens:
+        for x in range(n):
+            for y in range(n):
+                if t[t[x][s]][y] != t[x][t[s][y]]:
+                    raise ValueError(f"table is not associative: "
+                                     f"({x}*{s})*{y} != {x}*({s}*{y})")
+    return group
 
 
 # -- text format -----------------------------------------------------------
@@ -451,7 +466,7 @@ def group_from_file_text(text: str, cap=DEFAULT_CLOSURE_CAP) -> FiniteGroup:
                 fail(rowno, f"expected {n} entries, got {len(row)}")
             table.append(row)
         try:
-            return FiniteGroup(table)
+            return _check_associative(FiniteGroup(table))
         except ValueError as exc:
             fail(lineno, str(exc))
     elif mparts[0] == "perm-generators":

@@ -4,6 +4,10 @@ import pytest
 
 from cgraph import SimpleGraph
 
+# a reduced Latin square of order 5 that is not a group table
+LATIN5 = ("order 5\ntable\n0 1 2 3 4\n1 0 3 4 2\n2 3 4 0 1\n"
+          "3 4 1 2 0\n4 2 0 1 3\n")
+
 
 def complete_graph(n):
     return SimpleGraph(n, list(combinations(range(n), 2)))

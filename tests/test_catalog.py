@@ -4,10 +4,13 @@ import pytest
 
 from cgraph import family_genus
 from cgraph.catalog import (
+    _FIELD_BY_ORDER,
+    _primitive,
     build,
     catalog_entries,
     catalog_json,
     entry_by_name,
+    field,
     report_for,
     verify_entry,
 )
@@ -26,6 +29,22 @@ def test_build_simple_and_parametric():
 
 def test_build_is_cached():
     assert build("S", 4) is build("S", 4)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_sl2_order(q):
+    assert build("SL2", q).order == q * (q * q - 1)
+
+
+@pytest.mark.parametrize("q", sorted(_FIELD_BY_ORDER))
+def test_primitive_scalar_generates_the_multiplicative_group(q):
+    ctx = field(q)
+    z = _primitive(ctx)
+    powers, acc = set(), z
+    while acc not in powers:
+        powers.add(acc)
+        acc = acc * z
+    assert len(powers) == q - 1
 
 
 def test_named_constructions_orders_and_centers():

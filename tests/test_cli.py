@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from cgraph.cli import main
+from conftest import LATIN5
 
 
 @pytest.fixture
@@ -148,3 +149,34 @@ def test_verify_failure_exits_1(runner, monkeypatch):
     result = runner.invoke(main, ["verify", "acyclic"])
     assert result.exit_code == 1
     assert json.loads(result.stdout)["ok"] is False
+
+
+def one_line_error(result):
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.stderr
+    return lines[0]
+
+
+def test_non_associative_table_file_exits_2(runner, tmp_path):
+    path = tmp_path / "latin5.group"
+    path.write_text(LATIN5)
+    result = runner.invoke(main, ["genus", "--file", str(path)])
+    assert "line 2: table is not associative" in one_line_error(result)
+
+
+def test_bad_oracle_cap_env_exits_2(runner):
+    result = runner.invoke(main, ["genus", "--name", "D", "--param", "8"],
+                           env={"CGRAPH_ORACLE_CAP": "abc"})
+    assert "CGRAPH_ORACLE_CAP" in one_line_error(result)
+
+
+def test_library_error_after_loading_exits_2(runner, monkeypatch):
+    from cgraph import cli
+
+    def broken(group, oracle_cap):
+        raise ValueError("subgroup is not normal")
+
+    monkeypatch.setattr(cli, "commuting_graph", broken)
+    result = runner.invoke(main, ["genus", "--name", "D", "--param", "8"])
+    assert one_line_error(result) == "Error: subgroup is not normal"

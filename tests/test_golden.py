@@ -1,0 +1,32 @@
+"""`cgraph genus` stdout, byte for byte, against reports saved in tests/golden.
+
+The saved reports cover one single-block graph (D10), a bounds interval (S5),
+a matrix group (GL(2,3)), an element model (Q12), SD16, a direct product
+(Z2xD8) and a quotient (D8*Z4).
+"""
+
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from cgraph.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "D10": ["--name", "D", "--param", "10"],
+    "S5": ["--name", "S", "--param", "5"],
+    "GL2_3": ["--name", "GL2", "--param", "3"],
+    "Q12": ["--name", "Q", "--param", "12"],
+    "SD16": ["--name", "SD", "--param", "16"],
+    "Z2xD8": ["--name", "Z2xD8"],
+    "D8_Z4": ["--name", "D8*Z4"],
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_genus_stdout_matches_golden(case):
+    result = CliRunner().invoke(main, ["genus", *CASES[case]])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == (GOLDEN / f"{case}.json").read_text()

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cgraph import (
     direct_product,
@@ -10,7 +11,8 @@ from cgraph import (
     group_from_permutations,
 )
 from cgraph.catalog import build
-from cgraph.groups import ClosureCapError, parse_cycles
+from cgraph.groups import ClosureCapError, parse_cycles, perm_cycle_label
+from conftest import LATIN5
 
 
 def s3():
@@ -243,3 +245,34 @@ def test_group_file_errors_report_line_numbers():
 def test_group_from_operation_rejects_oversized_model():
     with pytest.raises(ClosureCapError):
         group_from_operation(range(100), lambda a, b: (a + b) % 100, 0, cap=50)
+
+
+@st.composite
+def permutation_generators(draw):
+    degree = draw(st.integers(1, 6))
+    perm = st.permutations(range(degree)).map(tuple)
+    return draw(st.lists(perm, max_size=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(permutation_generators())
+def test_closure_table_matches_plain_composition(gens):
+    """The lookup-filled table equals composition over the same BFS order."""
+    group = group_from_permutations(gens)
+    identity = tuple(range(len(gens[0]) if gens else 1))
+    elements, index = [identity], {identity: 0}
+    for g in elements:
+        for s in gens:
+            h = tuple(map(g.__getitem__, s))
+            if h not in index:
+                index[h] = len(elements)
+                elements.append(h)
+    table = [tuple(index[tuple(map(a.__getitem__, b))] for b in elements)
+             for a in elements]
+    assert group.table == table
+    assert group.labels == [perm_cycle_label(p) for p in elements]
+
+
+def test_non_associative_table_is_rejected():
+    with pytest.raises(ValueError, match="line 2: table is not associative"):
+        group_from_file_text(LATIN5)
