@@ -254,7 +254,7 @@ def _suite_formulas():
     for a_order in (2, 3):
         for base_name in ("S3", "D8", "Q8"):
             base = catalog.build(base_name)
-            sizes = tuple(base.centralizer_family().sizes())
+            sizes = tuple(sorted(map(len, base.centralizer_family())))
             params = FamilyParams("AbelianTimesAC", abelian_order=a_order,
                                   family_sizes=sizes)
             from .groups import direct_product

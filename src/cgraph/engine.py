@@ -115,7 +115,7 @@ class CommutingGraphReport:
     block_results: tuple     # GenusResult per block
     total: GenusResult
     is_ac: bool
-    family: object           # CentralizerFamily when is_ac, else None
+    family: tuple | None     # group.centralizer_family() when is_ac, else None
 
 
 def commuting_graph_of(group: FiniteGroup) -> SimpleGraph:
@@ -126,8 +126,7 @@ def commuting_graph_of(group: FiniteGroup) -> SimpleGraph:
     vertices = [x for x in range(group.order) if x not in center]
     pos = {x: i for i, x in enumerate(vertices)}
     edges = [(pos[x], pos[y])
-             for i, x in enumerate(vertices) for y in vertices[i + 1:]
-             if group.commute(x, y)]
+             for x in vertices for y in group.centralizer(x) if y > x and y in pos]
     labels = [group.labels[x] for x in vertices]
     return SimpleGraph(len(vertices), edges, labels)
 

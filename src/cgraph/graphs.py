@@ -1,21 +1,18 @@
 """Simple undirected graphs and their topological operations.
 
-Covers blocks, girth, complement, complete / complete-bipartite recognition,
+Covers blocks, girth, complete / complete-bipartite recognition,
 planarity, the closed-form genus formulas for K_n and K_{m,n}, Euler/Betti
 genus bounds, and a brute-force exact genus oracle over rotation systems.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
 import networkx as nx
 
 DEFAULT_ORACLE_EDGE_CAP = 16
-
-INFINITY = math.inf
 
 
 class SimpleGraph:
@@ -69,11 +66,6 @@ class SimpleGraph:
         labels = [self.label(v) for v in vs] if self.labels else None
         return SimpleGraph(len(vs), edges, labels)
 
-    def complement(self) -> "SimpleGraph":
-        edges = [(u, v) for u, v in combinations(range(self.n), 2)
-                 if not self.has_edge(u, v)]
-        return SimpleGraph(self.n, edges, self.labels)
-
     # -- connectivity -----------------------------------------------------
 
     def connected_components(self):
@@ -109,30 +101,7 @@ class SimpleGraph:
 
     def girth(self):
         """Length of a shortest cycle, or math.inf when acyclic."""
-        best = INFINITY
-        for root in range(self.n):
-            # BFS from root; a non-tree edge at depths d1, d2 closes a cycle
-            # of length d1 + d2 + 1 through their BFS paths.
-            dist = {root: 0}
-            parent = {root: -1}
-            queue = [root]
-            while queue:
-                nxt = []
-                for u in queue:
-                    for v in self.adj[u]:
-                        if v not in dist:
-                            dist[v] = dist[u] + 1
-                            parent[v] = u
-                            nxt.append(v)
-                        elif parent[u] != v and parent[v] != u:
-                            best = min(best, dist[u] + dist[v] + 1)
-                queue = nxt
-        return best
-
-    def has_triangle(self):
-        return any(self.has_edge(v, w)
-                   for u in range(self.n)
-                   for v, w in combinations(sorted(self.adj[u]), 2))
+        return nx.girth(self.to_networkx())
 
     # -- recognition ------------------------------------------------------
 

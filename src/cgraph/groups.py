@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress
 
 from .fields import FieldContext, Mat2
 
@@ -61,27 +61,26 @@ class FiniteGroup:
         self.order = n
         self.table = [tuple(row) for row in table]
         self.name = name
+        full = set(range(n))
         for i, row in enumerate(self.table):
             if len(row) != n:
                 raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-            if sorted(row) != list(range(n)):
+            if set(row) != full:
                 raise ValueError(f"row {i} is not a permutation of 0..{n - 1}")
-        for j in range(n):
-            col = sorted(self.table[i][j] for i in range(n))
-            if col != list(range(n)):
+        for j, col in enumerate(zip(*self.table)):
+            if set(col) != full:
                 raise ValueError(f"column {j} is not a permutation of 0..{n - 1}")
+        ident = tuple(range(n))
         identity = next(
-            (e for e in range(n)
-             if all(self.table[e][x] == x == self.table[x][e] for x in range(n))),
+            (e for e, row in enumerate(self.table)
+             if row == ident and tuple(r[e] for r in self.table) == ident),
             None)
         if identity is None:
             raise ValueError("table has no identity element")
         if identity != 0:
             raise ValueError("identity must be at index 0")
         self.identity = identity
-        self.inverse = [0] * n
-        for x in range(n):
-            self.inverse[x] = next(y for y in range(n) if self.table[x][y] == 0)
+        self.inverse = [row.index(0) for row in self.table]
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         if len(self.labels) != n:
             raise ValueError("label count does not match group order")
@@ -110,54 +109,42 @@ class FiniteGroup:
 
     # -- structural queries ----------------------------------------------
 
-    def centralizer(self, x: int) -> "ElementSet":
-        return ElementSet(self, [y for y in range(self.order)
-                                 if self.table[x][y] == self.table[y][x]])
-
-    def center(self) -> "ElementSet":
-        return ElementSet(self, self._center_indices)
+    @cached_property
+    def _centralizers(self):
+        """Row x is an int whose bit y is set iff xy = yx."""
+        return [sum(1 << y for y in compress(range(self.order), map(operator.eq, row, col)))
+                for row, col in zip(self.table, zip(*self.table))]
 
     @cached_property
-    def _center_indices(self):
-        return tuple(
-            x for x in range(self.order)
-            if all(self.table[x][y] == self.table[y][x] for y in range(self.order)))
+    def _center_bits(self):
+        return reduce(operator.and_, self._centralizers)
 
-    def conjugacy_class(self, x: int) -> "ElementSet":
-        return ElementSet(self, {self.conjugate(g, x) for g in range(self.order)})
+    def centralizer(self, x: int) -> tuple:
+        return _indices(self._centralizers[x])
+
+    def center(self) -> tuple:
+        return _indices(self._center_bits)
 
     def is_abelian(self) -> bool:
-        return len(self._center_indices) == self.order
+        return len(self.center()) == self.order
 
-    def commute(self, x: int, y: int) -> bool:
-        return self.table[x][y] == self.table[y][x]
-
-    def is_subset_abelian(self, indices) -> bool:
-        idx = list(indices)
-        return all(self.commute(x, y) for i, x in enumerate(idx) for y in idx[i + 1:])
+    def _distinct_centralizers(self) -> set:
+        """The distinct centralizers C(x) of non-central x, as bitsets."""
+        z = self._center_bits
+        return {c for x, c in enumerate(self._centralizers) if not z >> x & 1}
 
     def is_ac_group(self) -> bool:
         """True iff every centralizer of a non-central element is abelian."""
-        center = set(self._center_indices)
-        return all(self.is_subset_abelian(self.centralizer(x))
-                   for x in range(self.order) if x not in center)
+        rows = self._centralizers
+        return all(not c & ~rows[y]
+                   for c in self._distinct_centralizers() for y in _indices(c))
 
-    def centralizer_family(self) -> "CentralizerFamily":
-        """Deduplicated sets C(u) \\ Z over all non-central u."""
+    def centralizer_family(self) -> tuple:
+        """Deduplicated sorted tuples C(u) \\ Z over all non-central u, sorted."""
         if self.is_abelian():
             raise ValueError("centralizer family requires a non-abelian group")
-        center = set(self._center_indices)
-        seen = set()
-        members = []
-        for u in range(self.order):
-            if u in center:
-                continue
-            stripped = frozenset(self.centralizer(u)) - center
-            if stripped not in seen:
-                seen.add(stripped)
-                members.append(ElementSet(self, stripped))
-        members.sort(key=lambda s: s.indices)
-        return CentralizerFamily(members)
+        z = self._center_bits
+        return tuple(sorted(_indices(c & ~z) for c in self._distinct_centralizers()))
 
     # -- subgroup machinery ----------------------------------------------
 
@@ -184,7 +171,7 @@ class FiniteGroup:
         by elements of C(H) \\ H and re-closed.  Elementary abelian subgroups
         needing 3+ generators are reached this way.
         """
-        cent = [frozenset(self.centralizer(x)) for x in range(self.order)]
+        cent = self._centralizers
         found = set()
         work = []
         for x in range(self.order):
@@ -194,8 +181,9 @@ class FiniteGroup:
                 work.append(h)
         while work:
             h = work.pop()
-            csub = frozenset.intersection(*(cent[x] for x in h))
-            for z in csub - h:
+            for z in _indices(reduce(operator.and_, (cent[x] for x in h))):
+                if z in h:
+                    continue
                 ext = self.subgroup_closure(h | {z})
                 if ext not in found:
                     found.add(ext)
@@ -241,61 +229,30 @@ class FiniteGroup:
         return FiniteGroup(table, labels, name=f"{self.name}/N" if self.name else None)
 
     def quotient_by_center(self) -> "FiniteGroup":
-        return self.quotient(self._center_indices)
+        return self.quotient(self.center())
 
     def quotient_exponent(self) -> int:
-        """Maximum element order in G/Z(G)."""
+        """Maximum element order in G/Z(G): the largest least k >= 1 with x^k in Z."""
         if self.is_abelian():
             raise ValueError("quotient exponent requires a non-abelian group")
-        q = self.quotient_by_center()
-        return max(q.element_order(x) for x in range(q.order))
+        z = self._center_bits
+
+        def order_mod_center(x):
+            k, acc = 1, x
+            while not z >> acc & 1:
+                acc = self.table[acc][x]
+                k += 1
+            return k
+        return max(map(order_mod_center, range(self.order)))
 
     def __repr__(self):
         name = self.name or "FiniteGroup"
         return f"<{name} of order {self.order}>"
 
 
-@dataclass(frozen=True)
-class ElementSet:
-    """A sorted set of element indices of a parent group."""
-
-    group: FiniteGroup
-    indices: tuple
-
-    def __init__(self, group, indices):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "indices", tuple(sorted(set(indices))))
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __contains__(self, x):
-        return x in set(self.indices)
-
-    def labels(self):
-        return [self.group.labels[i] for i in self.indices]
-
-
-@dataclass(frozen=True)
-class CentralizerFamily:
-    """The deduplicated collection of centralizers with the center removed."""
-
-    members: tuple
-
-    def __init__(self, members):
-        object.__setattr__(self, "members", tuple(members))
-
-    def sizes(self):
-        return sorted(len(m) for m in self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
+def _indices(bits: int) -> tuple:
+    """The positions of the set bits, ascending."""
+    return tuple(i for i, c in enumerate(bin(bits)[:1:-1]) if c == "1")
 
 
 # -- constructions ---------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The saved reports cover one single-block graph (D10), a bounds interval (S5),
 a matrix group (GL(2,3)), an element model (Q12), SD16, a direct product
-(Z2xD8) and a quotient (D8*Z4).
+(Z2xD8), a quotient (D8*Z4), a large AC-group (D400) and a matrix group with
+a trivial center (PSL(2,8)).
 """
 
 from pathlib import Path
@@ -22,6 +23,8 @@ CASES = {
     "SD16": ["--name", "SD", "--param", "16"],
     "Z2xD8": ["--name", "Z2xD8"],
     "D8_Z4": ["--name", "D8*Z4"],
+    "D400": ["--name", "D", "--param", "400"],
+    "PSL2_8": ["--name", "PSL2", "--param", "8"],
 }
 
 

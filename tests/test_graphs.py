@@ -49,14 +49,6 @@ def test_induced_subgraph_relabels():
         g.induced_subgraph([7])
 
 
-def test_complement():
-    assert complete_graph(4).complement().edge_count == 0
-    c5 = cycle_graph(5)
-    comp = c5.complement()
-    assert comp.edge_count == 5
-    assert not any(comp.has_edge(u, v) for u, v in c5.edges())
-
-
 def test_connected_components():
     g = SimpleGraph(5, [(0, 1), (2, 3)])
     assert g.connected_components() == [[0, 1], [2, 3], [4]]
@@ -89,12 +81,6 @@ def test_girth():
     assert complete_bipartite_graph(2, 3).girth() == 4
     assert path_graph(4).girth() == math.inf
     assert SimpleGraph(3).girth() == math.inf
-
-
-def test_has_triangle():
-    assert complete_graph(3).has_triangle()
-    assert not cycle_graph(5).has_triangle()
-    assert not complete_bipartite_graph(3, 3).has_triangle()
 
 
 def test_recognize_complete():

@@ -10,7 +10,7 @@ from cgraph import (
     group_from_operation,
     group_from_permutations,
 )
-from cgraph.catalog import build
+from cgraph.catalog import build, catalog_entries
 from cgraph.groups import ClosureCapError, parse_cycles, perm_cycle_label
 from conftest import LATIN5
 
@@ -49,10 +49,16 @@ def test_closure_cap():
 
 def test_table_validation():
     from cgraph.groups import FiniteGroup
-    with pytest.raises(ValueError):
-        FiniteGroup([[0, 1], [0, 1]])  # column repeats
-    with pytest.raises(ValueError):
-        FiniteGroup([[1, 0], [0, 1]])  # identity not at index 0
+    with pytest.raises(ValueError, match="row 1 has length 1, expected 2"):
+        FiniteGroup([[0, 1], [1]])
+    with pytest.raises(ValueError, match="row 0 is not a permutation of 0..1"):
+        FiniteGroup([[0, 0], [1, 0]])
+    with pytest.raises(ValueError, match="column 0 is not a permutation of 0..1"):
+        FiniteGroup([[0, 1], [0, 1]])
+    with pytest.raises(ValueError, match="table has no identity element"):
+        FiniteGroup([[0, 2, 1], [2, 1, 0], [1, 0, 2]])  # x*y = -x-y mod 3
+    with pytest.raises(ValueError, match="identity must be at index 0"):
+        FiniteGroup([[1, 0], [0, 1]])
 
 
 def assert_group_sane(g, exhaustive_limit=48):
@@ -128,7 +134,7 @@ def test_orbit_stabilizer():
     for name, param in [("S", 4), ("D", 12), ("SL(2,3)", None)]:
         g = build(name, param)
         for x in g.elements():
-            assert len(g.conjugacy_class(x)) * len(g.centralizer(x)) == g.order
+            assert len({g.conjugate(h, x) for h in g.elements()}) * len(g.centralizer(x)) == g.order
 
 
 def test_center_is_intersection_of_centralizers():
@@ -177,10 +183,10 @@ def test_centralizer_family_covers_and_partitions():
 def test_ac_product_scaling():
     # A x G for abelian A: family member sizes scale by |A|
     base = build("D", 8)
-    sizes = base.centralizer_family().sizes()
+    sizes = sorted(map(len, base.centralizer_family()))
     prod = direct_product(build("Z", 3), base)
     assert prod.is_ac_group()
-    assert prod.centralizer_family().sizes() == [3 * s for s in sizes]
+    assert sorted(map(len, prod.centralizer_family())) == [3 * s for s in sizes]
 
 
 def test_abelian_subgroup_enumeration():
@@ -199,6 +205,14 @@ def test_quotient_exponent():
     assert build("SL(2,3)").quotient_exponent() == 3
     with pytest.raises(ValueError):
         build("Z", 4).quotient_exponent()
+
+
+def test_quotient_exponent_is_max_order_in_quotient_by_center():
+    for entry in catalog_entries():
+        g = entry.build()
+        if not g.is_abelian():
+            q = g.quotient_by_center()
+            assert g.quotient_exponent() == max(map(q.element_order, q.elements())), entry.name
 
 
 def test_dihedral_center_parity():
@@ -271,6 +285,34 @@ def test_closure_table_matches_plain_composition(gens):
              for a in elements]
     assert group.table == table
     assert group.labels == [perm_cycle_label(p) for p in elements]
+
+
+@settings(max_examples=40, deadline=None)
+@given(permutation_generators())
+def test_commutation_queries_match_pairwise_table(gens):
+    """Center, centralizers, AC test, family and quotient exponent against
+    pairwise products read straight from the table."""
+    group = group_from_permutations(gens)
+    t, n = group.table, group.order
+    cent = [tuple(y for y in range(n) if t[x][y] == t[y][x]) for x in range(n)]
+    center = tuple(x for x in range(n) if len(cent[x]) == n)
+    assert [group.centralizer(x) for x in range(n)] == cent
+    assert group.center() == center
+    assert group.is_abelian() == (len(center) == n)
+    distinct = {cent[x] for x in range(n) if x not in center}  # of non-central x
+    assert group.is_ac_group() == all(t[a][b] == t[b][a]
+                                      for c in distinct for a in c for b in c)
+    if not distinct:
+        return
+    family = {tuple(y for y in c if y not in center) for c in distinct}
+    assert group.centralizer_family() == tuple(sorted(family))
+
+    def coset_order(x):  # distinct cosets among x^i Z
+        powers = [0]
+        while len(powers) == 1 or powers[-1] != 0:
+            powers.append(t[powers[-1]][x])
+        return len({frozenset(t[p][z] for z in center) for p in powers})
+    assert group.quotient_exponent() == max(map(coset_order, range(n)))
 
 
 def test_non_associative_table_is_rejected():
