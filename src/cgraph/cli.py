@@ -16,17 +16,17 @@ import click
 
 from . import catalog
 from .engine import (
-    ac_genus,
     check_bounds_against_group,
     commuting_graph,
+    commuting_graph_of,
     family_genus,
     FamilyParams,
     oracle_cap_from_env,
     report_to_json,
     to_json_text,
 )
-from .graphs import DEFAULT_ORACLE_EDGE_CAP
-from .groups import FiniteGroup, group_from_file_text
+from .graphs import DEFAULT_ORACLE_EDGE_CAP, disjoint_clique_lower_bound
+from .groups import FiniteGroup, direct_product, group_from_file_text
 
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
@@ -133,8 +133,7 @@ def export_dot(name, param, path, out):
     group, label = _load_group(name, param, path)
     if group.is_abelian():
         raise click.UsageError(f"{label} is abelian: its commuting graph is empty")
-    from .engine import commuting_graph_of
-    graph = commuting_graph_of(group)
+    graph, _ = commuting_graph_of(group)
     try:
         Path(out).write_text(graph.to_dot(name=label))
     except OSError as exc:
@@ -203,7 +202,6 @@ def _suite_toroidal():
 
 def _s5_witness_check():
     """S5 witness: two disjoint order-6 abelian subgroups force genus >= 2."""
-    from .graphs import disjoint_clique_lower_bound
     group = catalog.build("S", 5)
     report = catalog.report_for("S5")
     element = {lbl: i for i, lbl in enumerate(group.labels)}
@@ -227,45 +225,37 @@ def _s5_witness_check():
 def _suite_formulas():
     checks = []
 
-    def check(params, group_name, param=None):
+    def check(params, group, label=None):
         formula = family_genus(params)
-        group = catalog.build(group_name, param)
         total = commuting_graph(group).total
         checks.append({
-            "family": params.tag, "group": group.name or group_name,
+            "family": params.tag, "group": label or group.name,
             "formula": formula,
             "engine": total.value if total.is_exact else None,
             "ok": total.is_exact and total.value == formula})
 
     for n in range(3, 13):
-        check(FamilyParams("Dihedral", n=n), "D", 2 * n)
+        check(FamilyParams("Dihedral", n=n), catalog.build("D", 2 * n))
     for n in range(2, 8):
-        check(FamilyParams("Dicyclic", n=n), "Q", 4 * n)
+        check(FamilyParams("Dicyclic", n=n), catalog.build("Q", 4 * n))
     for k in (4, 5):
-        check(FamilyParams("Semidihedral", k=k), "SD", 2 ** k)
+        check(FamilyParams("Semidihedral", k=k), catalog.build("SD", 2 ** k))
     for (p, q), (name, param) in [((2, 3), ("S3", None)), ((2, 5), ("D", 10)),
                                   ((2, 7), ("D", 14)), ((3, 7), ("Z7:Z3", None))]:
-        check(FamilyParams("PQ", p=p, q=q), name, param)
+        check(FamilyParams("PQ", p=p, q=q), catalog.build(name, param))
     for name in ("27_exp3", "27_exp9"):
-        check(FamilyParams("PCubed", p=3), name)
-    check(FamilyParams("PSL2", k=2), "PSL2", 4)
-    check(FamilyParams("GL2", q=3), "GL2", 3)
+        check(FamilyParams("PCubed", p=3), catalog.build(name))
+    check(FamilyParams("PSL2", k=2), catalog.build("PSL2", 4))
+    check(FamilyParams("GL2", q=3), catalog.build("GL2", 3))
     # abelian factors: A x G scales every family member by |A|
     for a_order in (2, 3):
         for base_name in ("S3", "D8", "Q8"):
             base = catalog.build(base_name)
             sizes = tuple(sorted(map(len, base.centralizer_family())))
-            params = FamilyParams("AbelianTimesAC", abelian_order=a_order,
-                                  family_sizes=sizes)
-            from .groups import direct_product
-            product = direct_product(catalog.build("Z", a_order), base)
-            total = commuting_graph(product).total
-            checks.append({
-                "family": "AbelianTimesAC",
-                "group": f"Z{a_order}x{base_name}",
-                "formula": family_genus(params),
-                "engine": total.value if total.is_exact else None,
-                "ok": total.is_exact and total.value == family_genus(params)})
+            check(FamilyParams("AbelianTimesAC", abelian_order=a_order,
+                               family_sizes=sizes),
+                  direct_product(catalog.build("Z", a_order), base),
+                  f"Z{a_order}x{base_name}")
     return checks
 
 

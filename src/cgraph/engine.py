@@ -79,8 +79,8 @@ def _clique_pair_lower_bound(g: SimpleGraph) -> int:
 
 def _block_sum(g: SimpleGraph, oracle_cap: int):
     """(blocks, shapes, results, total); an exact total is a "BlockSum"."""
-    decomposition = g.blocks()
-    resolved = [_block_genus(b, oracle_cap) for b in decomposition.block_subgraphs()]
+    blocks = g.blocks()
+    resolved = [_block_genus(g.induced_subgraph(b), oracle_cap) for b in blocks]
     results = tuple(result for _, result in resolved)
     if all(r.is_exact for r in results):
         total = GenusResult.exact(sum(r.value for r in results), "BlockSum")
@@ -89,7 +89,7 @@ def _block_sum(g: SimpleGraph, oracle_cap: int):
                              for p in r.provenance})
         total = GenusResult.bounds(sum(r.low() for r in results),
                                    sum(r.high() for r in results), provenance)
-    return (decomposition.blocks, tuple(shape for shape, _ in resolved),
+    return (blocks, tuple(shape for shape, _ in resolved),
             results, total)
 
 
@@ -115,30 +115,26 @@ class CommutingGraphReport:
     block_results: tuple     # GenusResult per block
     total: GenusResult
     is_ac: bool
-    family: tuple | None     # group.centralizer_family() when is_ac, else None
 
 
-def commuting_graph_of(group: FiniteGroup) -> SimpleGraph:
-    """The graph on G \\ Z(G) with edges between distinct commuting elements."""
+def commuting_graph_of(group: FiniteGroup) -> tuple[SimpleGraph, tuple]:
+    """The graph on G \\ Z(G) with edges between distinct commuting elements,
+    and the group element index of each vertex."""
     if group.is_abelian():
         raise ValueError("commuting graph requires a non-abelian group")
     center = set(group.center())
-    vertices = [x for x in range(group.order) if x not in center]
+    vertices = tuple(x for x in range(group.order) if x not in center)
     pos = {x: i for i, x in enumerate(vertices)}
     edges = [(pos[x], pos[y])
              for x in vertices for y in group.centralizer(x) if y > x and y in pos]
     labels = [group.labels[x] for x in vertices]
-    return SimpleGraph(len(vertices), edges, labels)
+    return SimpleGraph(len(vertices), edges, labels), vertices
 
 
 def commuting_graph(group: FiniteGroup,
                     oracle_cap=DEFAULT_ORACLE_EDGE_CAP) -> CommutingGraphReport:
-    graph = commuting_graph_of(group)
-    center = set(group.center())
-    vertices = tuple(x for x in range(group.order) if x not in center)
+    graph, vertices = commuting_graph_of(group)
     blocks, shapes, block_results, total = _block_sum(graph, oracle_cap)
-    is_ac = group.is_ac_group()
-    family = group.centralizer_family() if is_ac else None
     return CommutingGraphReport(
         group=group,
         graph=graph,
@@ -148,8 +144,7 @@ def commuting_graph(group: FiniteGroup,
         block_shapes=shapes,
         block_results=block_results,
         total=total,
-        is_ac=is_ac,
-        family=family,
+        is_ac=group.is_ac_group(),
     )
 
 
@@ -275,6 +270,12 @@ class HeawoodBounds:
     def order_bound(self) -> int:
         return self.order_bound_base ** self.order_bound_exponent
 
+    def admits_order(self, order: int) -> bool:
+        """order < order_bound(), without building the power: any base >= 2
+        gives base ** order.bit_length() > order already."""
+        return order < self.order_bound_base ** min(self.order_bound_exponent,
+                                                    order.bit_length())
+
 
 def heawood_bounds(g: int, t: int | None = None,
                    center_overlap: int | None = None) -> HeawoodBounds:
@@ -335,7 +336,7 @@ def check_bounds_against_group(group: FiniteGroup,
         witness=f"largest |A|-|A∩Z| = {worst[0]}"))
 
     checks.append(BoundCheck(
-        "order_bound", group.order < bounds.order_bound(), group.order,
+        "order_bound", bounds.admits_order(group.order), group.order,
         f"{bounds.order_bound_base}^{bounds.order_bound_exponent}"))
     return checks
 

@@ -3,6 +3,8 @@
 Covers blocks, girth, complete / complete-bipartite recognition,
 planarity, the closed-form genus formulas for K_n and K_{m,n}, Euler/Betti
 genus bounds, and a brute-force exact genus oracle over rotation systems.
+A graph is held as one networkx graph, which supplies components, blocks,
+bipartite tests, maximum cliques, girth and planarity.
 """
 
 from __future__ import annotations
@@ -16,41 +18,37 @@ DEFAULT_ORACLE_EDGE_CAP = 16
 
 
 class SimpleGraph:
-    """An undirected simple graph on vertices 0..n-1."""
+    """An undirected simple graph on vertices 0..n-1, held as one networkx graph."""
 
     def __init__(self, n, edges=(), labels=None):
         self.n = n
-        self.adj = [set() for _ in range(n)]
+        edges = list(edges)
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
-            self.adj[u].add(v)
-            self.adj[v].add(u)
+        self.nx_graph = nx.Graph()
+        self.nx_graph.add_nodes_from(range(n))
+        self.nx_graph.add_edges_from(edges)
         self.labels = list(labels) if labels is not None else None
 
     @property
     def edge_count(self):
-        return sum(len(a) for a in self.adj) // 2
+        return self.nx_graph.number_of_edges()
 
     def edges(self):
-        return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
+        adj = self.nx_graph.adj
+        return [(u, v) for u in range(self.n) for v in sorted(adj[u]) if u < v]
 
     def has_edge(self, u, v):
-        return v in self.adj[u]
+        return self.nx_graph.has_edge(u, v)
 
     def degree(self, u):
-        return len(self.adj[u])
+        return self.nx_graph.degree[u]
 
     def label(self, u):
         return self.labels[u] if self.labels else str(u)
-
-    def to_networkx(self):
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n))
-        g.add_edges_from(self.edges())
-        return g
 
     # -- derived graphs ---------------------------------------------------
 
@@ -62,46 +60,29 @@ class SimpleGraph:
         if vs[0] < 0 or vs[-1] >= self.n:
             raise ValueError("vertex out of range")
         pos = {v: i for i, v in enumerate(vs)}
-        edges = [(pos[u], pos[v]) for u, v in combinations(vs, 2) if self.has_edge(u, v)]
+        adj = self.nx_graph.adj
+        edges = [(pos[u], pos[v]) for u in vs for v in adj[u] if v in pos and u < v]
         labels = [self.label(v) for v in vs] if self.labels else None
         return SimpleGraph(len(vs), edges, labels)
 
     # -- connectivity -----------------------------------------------------
 
     def connected_components(self):
-        seen = [False] * self.n
-        comps = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            comp, stack = [], [start]
-            seen[start] = True
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for v in self.adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-            comps.append(sorted(comp))
-        return comps
+        return sorted(sorted(c) for c in nx.connected_components(self.nx_graph))
 
     def is_connected(self):
-        return self.n <= 1 or len(self.connected_components()) == 1
+        return self.n <= 1 or nx.is_connected(self.nx_graph)
 
-    def blocks(self) -> "BlockDecomposition":
-        """Biconnected components plus bridges; isolated vertices kept apart."""
-        g = self.to_networkx()
-        blocks = sorted((tuple(sorted(b)) for b in nx.biconnected_components(g)))
-        cuts = sorted(nx.articulation_points(g))
-        isolated = tuple(v for v in range(self.n) if not self.adj[v])
-        return BlockDecomposition(self, blocks, tuple(cuts), isolated)
+    def blocks(self) -> tuple:
+        """Sorted vertex tuples of the biconnected components (bridges included)."""
+        return tuple(sorted(tuple(sorted(b))
+                            for b in nx.biconnected_components(self.nx_graph)))
 
     # -- cycles -----------------------------------------------------------
 
     def girth(self):
         """Length of a shortest cycle, or math.inf when acyclic."""
-        return nx.girth(self.to_networkx())
+        return nx.girth(self.nx_graph)
 
     # -- recognition ------------------------------------------------------
 
@@ -113,32 +94,15 @@ class SimpleGraph:
 
     def recognize_complete_bipartite(self):
         """(m, n) with m <= n if the graph is K_{m,n} with m, n >= 1, else None."""
-        if self.n < 2 or self.edge_count == 0:
+        if self.edge_count == 0 or not nx.is_bipartite(self.nx_graph):
             return None
-        color = {}
-        for comp in self.connected_components():
-            color[comp[0]] = 0
-            stack = [comp[0]]
-            while stack:
-                u = stack.pop()
-                for v in self.adj[u]:
-                    if v not in color:
-                        color[v] = 1 - color[u]
-                        stack.append(v)
-                    elif color[v] == color[u]:
-                        return None
-        left = [v for v in range(self.n) if color[v] == 0]
-        right = [v for v in range(self.n) if color[v] == 1]
-        if not left or not right:
-            return None
-        if self.edge_count != len(left) * len(right):
-            return None
-        m, n = sorted((len(left), len(right)))
-        return (m, n)
+        # E = m * n makes every pair across the colour classes an edge
+        ones = sum(nx.bipartite.color(self.nx_graph).values())
+        m, n = sorted((ones, self.n - ones))
+        return (m, n) if self.edge_count == m * n else None
 
     def is_planar(self) -> bool:
-        ok, _ = nx.check_planarity(self.to_networkx())
-        return ok
+        return nx.is_planar(self.nx_graph)
 
     # -- serialization ----------------------------------------------------
 
@@ -172,25 +136,6 @@ class SimpleGraph:
                 raise ValueError(f"line {rowno}: expected 'u v', got {line!r}")
             edges.append((int(toks[0]), int(toks[1])))
         return cls(n, edges)
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Blocks (as parent vertex tuples), cut vertices and isolated vertices."""
-
-    graph: SimpleGraph
-    blocks: tuple
-    cut_vertices: tuple
-    isolated_vertices: tuple
-
-    def __init__(self, graph, blocks, cut_vertices, isolated_vertices):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in blocks))
-        object.__setattr__(self, "cut_vertices", tuple(cut_vertices))
-        object.__setattr__(self, "isolated_vertices", tuple(isolated_vertices))
-
-    def block_subgraphs(self):
-        return [self.graph.induced_subgraph(b) for b in self.blocks]
 
 
 @dataclass(frozen=True)
@@ -278,57 +223,8 @@ def disjoint_clique_lower_bound(g: SimpleGraph, clique_a, clique_b) -> int:
 # -- exact maximum clique --------------------------------------------------
 
 def max_clique(g: SimpleGraph):
-    """An exact maximum clique, by branch and bound with greedy coloring."""
-    best = []
-    for comp in g.connected_components():
-        if len(comp) <= len(best):
-            continue
-        sub = g.induced_subgraph(comp)
-        local = _max_clique_connected(sub, len(best))
-        if len(local) > len(best):
-            best = [comp[v] for v in local]
-    return sorted(best)
-
-
-def _greedy_color_order(g, candidates):
-    """Vertices ordered by color class; color count bounds the clique size."""
-    color_classes = []
-    for v in sorted(candidates, key=g.degree, reverse=True):
-        for cls in color_classes:
-            if not any(g.has_edge(v, u) for u in cls):
-                cls.append(v)
-                break
-        else:
-            color_classes.append([v])
-    ordered = []
-    for color, cls in enumerate(color_classes, start=1):
-        for v in cls:
-            ordered.append((v, color))
-    return ordered
-
-
-def _max_clique_connected(g, floor_size):
-    best = []
-
-    def expand(clique, candidates):
-        nonlocal best
-        ordered = _greedy_color_order(g, candidates)
-        for v, color in reversed(ordered):
-            if len(clique) + color <= max(len(best), floor_size):
-                return
-            clique.append(v)
-            nxt = [u for u, _ in ordered if u != v and g.has_edge(u, v)
-                   and u in candidates]
-            if not nxt:
-                if len(clique) > len(best):
-                    best = list(clique)
-            else:
-                expand(clique, set(nxt))
-            clique.pop()
-            candidates = candidates - {v}
-
-    expand([], set(range(g.n)))
-    return best
+    """An exact maximum clique, as a sorted vertex list."""
+    return sorted(nx.max_weight_clique(g.nx_graph, weight=None)[0])
 
 
 # -- exact genus oracle ----------------------------------------------------
@@ -368,13 +264,14 @@ def genus_oracle(g: SimpleGraph, edge_cap: int = DEFAULT_ORACLE_EDGE_CAP):
     v = g.n
     if e == 0:
         return 0
-    darts = [(a, b) for a in range(v) for b in g.adj[a]]
+    adj = g.nx_graph.adj
+    darts = [(a, b) for a in range(v) for b in adj[a]]
     floor_genus = genus_lower_bound_euler(g)
 
     # Cyclic orders at a vertex: fix the first neighbor, permute the rest.
     per_vertex = []
     for a in range(v):
-        nbrs = sorted(g.adj[a])
+        nbrs = sorted(adj[a])
         if len(nbrs) <= 2:
             per_vertex.append([tuple(nbrs)])
         else:

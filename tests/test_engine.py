@@ -1,6 +1,8 @@
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cgraph import (
     FamilyParams,
@@ -84,7 +86,8 @@ def test_genus_bounds_when_oracle_capped():
 
 def test_commuting_graph_of_s3_is_three_isolated_edges_short():
     # S3: 5 vertices, two rotations commute, three reflections isolated
-    graph = commuting_graph_of(build("S", 3))
+    graph, vertices = commuting_graph_of(build("S", 3))
+    assert vertices == (1, 2, 3, 4, 5)
     assert graph.n == 5
     assert graph.edge_count == 1
     assert graph.girth() == math.inf
@@ -215,6 +218,16 @@ def test_heawood_bounds_fields():
     assert heawood_bounds(1).center_bound is None
     with pytest.raises(ValueError):
         heawood_bounds(0, t=1)
+
+
+@given(st.integers(2, 40), st.integers(0, 120), st.integers(0, 10 ** 60))
+@example(8, 3, 511)
+@example(8, 3, 512)
+@example(8, 30, 8 ** 30)
+def test_admits_order_matches_the_full_power(base, exponent, order):
+    bounds = replace(heawood_bounds(0), order_bound_base=base,
+                     order_bound_exponent=exponent)
+    assert bounds.admits_order(order) == (order < base ** exponent)
 
 
 def test_check_bounds_against_group():

@@ -1,9 +1,11 @@
-"""`cgraph genus` stdout, byte for byte, against reports saved in tests/golden.
+"""CLI output, byte for byte, against files saved in tests/golden.
 
-The saved reports cover one single-block graph (D10), a bounds interval (S5),
-a matrix group (GL(2,3)), an element model (Q12), SD16, a direct product
-(Z2xD8), a quotient (D8*Z4), a large AC-group (D400) and a matrix group with
-a trivial center (PSL(2,8)).
+The saved `cgraph genus` reports cover one single-block graph (D10), a bounds
+interval (S5), a matrix group (GL(2,3)), an element model (Q12), SD16, a
+direct product (Z2xD8), a quotient (D8*Z4), a large AC-group (D400) and a
+matrix group with a trivial center (PSL(2,8)).  `verify_all.json` is the
+stdout of `cgraph verify all`, and `S5.dot` the file `cgraph export-dot`
+writes for S5, whose edge order comes from `SimpleGraph.edges`.
 """
 
 from pathlib import Path
@@ -33,3 +35,17 @@ def test_genus_stdout_matches_golden(case):
     result = CliRunner().invoke(main, ["genus", *CASES[case]])
     assert result.exit_code == 0, result.output
     assert result.stdout == (GOLDEN / f"{case}.json").read_text()
+
+
+def test_verify_all_stdout_matches_golden():
+    result = CliRunner().invoke(main, ["verify", "all"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == (GOLDEN / "verify_all.json").read_text()
+
+
+def test_export_dot_file_matches_golden(tmp_path):
+    out = tmp_path / "S5.dot"
+    result = CliRunner().invoke(
+        main, ["export-dot", "--name", "S", "--param", "5", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_text() == (GOLDEN / "S5.dot").read_text()

@@ -1,6 +1,8 @@
 import math
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cgraph import (
     SimpleGraph,
@@ -59,19 +61,14 @@ def test_connected_components():
 
 def test_blocks_two_triangles_sharing_a_vertex():
     g = SimpleGraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
-    dec = g.blocks()
-    assert dec.blocks == ((0, 1, 2), (2, 3, 4))
-    assert dec.cut_vertices == (2,)
-    assert dec.isolated_vertices == ()
-    assert [b.n for b in dec.block_subgraphs()] == [3, 3]
+    blocks = g.blocks()
+    assert blocks == ((0, 1, 2), (2, 3, 4))
+    assert [g.induced_subgraph(b).n for b in blocks] == [3, 3]
 
 
 def test_blocks_bridge_and_isolated_vertex():
     g = SimpleGraph(4, [(0, 1)])
-    dec = g.blocks()
-    assert dec.blocks == ((0, 1),)
-    assert dec.cut_vertices == ()
-    assert dec.isolated_vertices == (2, 3)
+    assert g.blocks() == ((0, 1),)
 
 
 def test_girth():
@@ -218,3 +215,111 @@ def test_oracle_respects_edge_cap(k5):
     assert genus_oracle(k5, edge_cap=5) is None
     with pytest.raises(ValueError):
         genus_oracle(SimpleGraph(2))  # disconnected
+
+
+# -- the graph layer against brute force -----------------------------------
+
+@st.composite
+def small_graphs(draw):
+    """(n, sorted edge list) with n <= 8."""
+    n = draw(st.integers(0, 8))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [e for e, k in zip(pairs, keep) if k]
+
+
+def union_find_components(n, edges):
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    comps = {}
+    for v in range(n):
+        comps.setdefault(find(v), []).append(v)
+    return sorted(comps.values())
+
+
+def relabel(vertices, edges):
+    pos = {v: i for i, v in enumerate(vertices)}
+    return [(pos[u], pos[v]) for u, v in edges]
+
+
+def is_clique(edge_set, vertices):
+    return all(e in edge_set for e in combinations(sorted(vertices), 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_components_match_union_find(graph):
+    n, edges = graph
+    g = SimpleGraph(n, edges)
+    expected = union_find_components(n, edges)
+    assert g.connected_components() == expected
+    assert g.is_connected() == (len(expected) <= 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_max_clique_matches_exhaustive_search(graph):
+    n, edges = graph
+    edge_set = set(edges)
+    clique = max_clique(SimpleGraph(n, edges))
+    assert clique == sorted(clique) and is_clique(edge_set, clique)
+    largest = max((k for k in range(n + 1)
+                   for vs in combinations(range(n), k) if is_clique(edge_set, vs)),
+                  default=0)
+    assert len(clique) == largest
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_complete_bipartite_matches_every_two_colouring(graph):
+    n, edges = graph
+    edge_set = set(edges)
+    shapes = set()
+    for colour in product((0, 1), repeat=n):
+        ones = sum(colour)
+        if 0 < ones < n and edge_set == {(u, v) for u, v in combinations(range(n), 2)
+                                         if colour[u] != colour[v]}:
+            shapes.add(tuple(sorted((ones, n - ones))))
+    assert len(shapes) <= 1
+    expected = shapes.pop() if shapes else None
+    assert SimpleGraph(n, edges).recognize_complete_bipartite() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(), st.data())
+def test_induced_subgraph_edges_match_combinations(graph, data):
+    n, edges = graph
+    if n == 0:
+        return
+    vs = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    edge_set = set(edges)
+    sub = SimpleGraph(n, edges).induced_subgraph(vs)
+    assert sub.n == len(vs)
+    assert sub.edges() == [(i, j) for i, j in combinations(range(len(vs)), 2)
+                           if (vs[i], vs[j]) in edge_set]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_blocks_cover_each_edge_once_and_have_no_cut_vertex(graph):
+    n, edges = graph
+    blocks = SimpleGraph(n, edges).blocks()
+    assert blocks == tuple(sorted(blocks))
+    for u, v in edges:
+        assert sum(u in b and v in b for b in blocks) == 1
+    for b in blocks:
+        assert len(b) >= 2 and list(b) == sorted(b)
+        inside = [(u, v) for u, v in edges if u in b and v in b]
+        assert len(union_find_components(len(b), relabel(b, inside))) == 1
+        if len(b) >= 3:
+            for cut in b:
+                rest = [x for x in b if x != cut]
+                kept = [(u, v) for u, v in inside if cut not in (u, v)]
+                assert len(union_find_components(len(rest), relabel(rest, kept))) == 1
