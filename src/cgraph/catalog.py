@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .engine import FamilyParams, commuting_graph
-from .fields import FieldContext, Mat2
+from .fields import FIELDS, FieldContext, Mat2
 from .groups import FiniteGroup, direct_product, group_from_operation, group_from_permutations, group_from_matrices
 
 CLASSIFICATION_TAGS = ("acyclic-list", "planar-list", "toroidal-list",
@@ -83,15 +83,12 @@ def _alternating(n):
     return group_from_permutations([three_cycle, long_cycle], name=f"A{n}")
 
 
-_FIELD_BY_ORDER = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1),
-                   8: (2, 3), 9: (3, 2), 16: (2, 4)}
-
-
 @lru_cache(maxsize=None)
 def field(q) -> FieldContext:
-    if q not in _FIELD_BY_ORDER:
+    if q not in FIELDS:
         raise ValueError(f"unsupported field order {q}")
-    return FieldContext(*_FIELD_BY_ORDER[q])
+    p, k, _ = FIELDS[q]
+    return FieldContext(p, k)
 
 
 def _primitive(ctx):
@@ -99,7 +96,7 @@ def _primitive(ctx):
     for z in ctx.elements()[1:]:
         acc, order = z, 1
         while acc != ctx.one:
-            acc, order = acc * z, order + 1
+            acc, order = ctx.mul[acc][z], order + 1
         if order == ctx.q - 1:
             return z
 
@@ -120,7 +117,7 @@ def _sl2(q):
         # transvections over the prime field only reach SL(2,p); add a torus
         # generator to cover the field extension
         t = _primitive(ctx)
-        gens.append(Mat2(t, ctx.zero, ctx.zero, t.inv()))
+        gens.append(Mat2(ctx, t, 0, 0, ctx.inv[t]))
     return group_from_matrices(gens, ctx, name=f"SL(2,{q})")
 
 

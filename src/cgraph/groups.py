@@ -190,15 +190,6 @@ class FiniteGroup:
                     work.append(ext)
         return found
 
-    def abelian_subgroup_orders(self) -> set:
-        return {len(h) for h in self.abelian_subgroups()}
-
-    def exists_abelian_subgroup_of_order(self, k: int) -> bool:
-        return k in self.abelian_subgroup_orders()
-
-    def max_abelian_subgroup_order(self) -> int:
-        return max(self.abelian_subgroup_orders())
-
     # -- quotients --------------------------------------------------------
 
     def quotient(self, normal) -> "FiniteGroup":
@@ -296,14 +287,11 @@ def group_from_permutations(generators, cap=DEFAULT_CLOSURE_CAP, name=None) -> F
 
 def group_from_matrices(generators, context: FieldContext,
                         cap=DEFAULT_CLOSURE_CAP, name=None) -> FiniteGroup:
-    """The matrix group generated by invertible 2x2 matrices over `context`."""
-    gens = []
-    for g in generators:
-        if not isinstance(g, Mat2):
-            g = Mat2.of(context, *[x for row in g for x in row])
+    """The matrix group generated by invertible `Mat2` matrices over `context`."""
+    gens = list(generators)
+    for g in gens:
         if not g.det():
             raise ValueError(f"generator {g} is singular")
-        gens.append(g)
     elements, table = _closure(Mat2.identity(context), gens, operator.mul, cap)
     labels = [repr(g) for g in elements]
     return FiniteGroup(table, labels, name=name)

@@ -4,7 +4,6 @@ import pytest
 
 from cgraph import family_genus
 from cgraph.catalog import (
-    _FIELD_BY_ORDER,
     _primitive,
     build,
     catalog_entries,
@@ -14,6 +13,7 @@ from cgraph.catalog import (
     report_for,
     verify_entry,
 )
+from cgraph.fields import FIELDS
 
 
 def test_build_simple_and_parametric():
@@ -36,14 +36,14 @@ def test_sl2_order(q):
     assert build("SL2", q).order == q * (q * q - 1)
 
 
-@pytest.mark.parametrize("q", sorted(_FIELD_BY_ORDER))
+@pytest.mark.parametrize("q", sorted(FIELDS))
 def test_primitive_scalar_generates_the_multiplicative_group(q):
     ctx = field(q)
     z = _primitive(ctx)
     powers, acc = set(), z
     while acc not in powers:
         powers.add(acc)
-        acc = acc * z
+        acc = ctx.mul[acc][z]
     assert len(powers) == q - 1
 
 

@@ -15,9 +15,10 @@ from cgraph import (
     genus_of_graph,
     heawood_bounds,
     heawood_clique_bound,
+    max_clique,
     report_to_json,
 )
-from cgraph.catalog import build
+from cgraph.catalog import build, catalog_entries, report_for
 from conftest import complete_bipartite_graph, complete_graph
 
 from cgraph import SimpleGraph
@@ -237,6 +238,17 @@ def test_check_bounds_against_group():
     assert {c.name for c in checks} == {
         "max_commuting_set", "center_size", "abelian_subgroups", "order_bound"}
     assert all(c.passed for c in checks)
+
+
+def test_max_commuting_set_is_the_maximum_clique():
+    # read from the abelian subgroups, it must match a clique search on the graph
+    exact = [e for e in catalog_entries() if report_for(e.name).total.is_exact]
+    assert len(exact) == 44
+    for entry in exact:
+        report = report_for(entry.name)
+        check = check_bounds_against_group(entry.build(), report)[0]
+        assert check.name == "max_commuting_set"
+        assert check.observed == len(max_clique(report.graph)), entry.name
 
 
 def test_check_bounds_requires_exact_genus():

@@ -1,9 +1,10 @@
 """CLI output, byte for byte, against files saved in tests/golden.
 
 The saved `cgraph genus` reports cover one single-block graph (D10), a bounds
-interval (S5), a matrix group (GL(2,3)), an element model (Q12), SD16, a
-direct product (Z2xD8), a quotient (D8*Z4), a large AC-group (D400) and a
-matrix group with a trivial center (PSL(2,8)).  `verify_all.json` is the
+interval (S5), matrix groups over a prime field (GL(2,3), GL(2,5)) and over
+GF(4) (GL(2,4)), an element model (Q12), SD16, a direct product (Z2xD8), a
+quotient (D8*Z4), a large AC-group (D400) and a matrix group with a trivial
+center (PSL(2,8)).  `verify_all.json` is the
 stdout of `cgraph verify all`, and `S5.dot` the file `cgraph export-dot`
 writes for S5, whose edge order comes from `SimpleGraph.edges`.
 """
@@ -21,6 +22,8 @@ CASES = {
     "D10": ["--name", "D", "--param", "10"],
     "S5": ["--name", "S", "--param", "5"],
     "GL2_3": ["--name", "GL2", "--param", "3"],
+    "GL2_4": ["--name", "GL2", "--param", "4"],
+    "GL2_5": ["--name", "GL2", "--param", "5"],
     "Q12": ["--name", "Q", "--param", "12"],
     "SD16": ["--name", "SD", "--param", "16"],
     "Z2xD8": ["--name", "Z2xD8"],

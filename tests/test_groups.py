@@ -190,13 +190,13 @@ def test_ac_product_scaling():
 
 
 def test_abelian_subgroup_enumeration():
-    d16 = build("D", 16)
-    assert d16.max_abelian_subgroup_order() == 8
-    assert build("Z2xD8").exists_abelian_subgroup_of_order(8)
-    z6 = build("Z", 6)
-    assert z6.max_abelian_subgroup_order() == 6
+    def orders(group):
+        return {len(h) for h in group.abelian_subgroups()}
+    assert max(orders(build("D", 16))) == 8
+    assert 8 in orders(build("Z2xD8"))
+    assert max(orders(build("Z", 6))) == 6
     # Q40 has an element of order 20, hence an abelian subgroup of order 10
-    assert build("Q", 40).exists_abelian_subgroup_of_order(10)
+    assert 10 in orders(build("Q", 40))
 
 
 def test_quotient_exponent():
