@@ -254,41 +254,6 @@ def _entry(name, builder, order, center, ac, genus, tags=("counterexample",),
                         family, alias_of)
 
 
-def _dihedral_entries():
-    entries = []
-    tags_by_order = {
-        6: ("counterexample",), 8: ("acyclic-list", "planar-list"),
-        10: ("planar-list",), 12: ("planar-list",), 14: ("toroidal-list",),
-        16: ("toroidal-list",), 18: ("counterexample",), 20: ("counterexample",),
-        22: ("counterexample",), 24: ("counterexample", "counterexample-candidate"),
-        30: ("counterexample",),
-    }
-    for order, tags in tags_by_order.items():
-        if order == 6:
-            continue  # D6 is catalogued as S3
-        n = order // 2
-        genus = FamilyParams("Dihedral", n=n)
-        entries.append(_entry(
-            f"D{order}", ("D", order), order, 2 if n % 2 == 0 else 1, True,
-            None, tags, family=genus))
-    return entries
-
-
-def _dicyclic_entries():
-    entries = []
-    tags_by_order = {
-        8: ("acyclic-list", "planar-list"), 12: ("planar-list",),
-        16: ("toroidal-list",), 20: ("counterexample",),
-        24: ("counterexample", "counterexample-candidate"),
-        28: ("counterexample",), 40: ("counterexample",),
-    }
-    for order, tags in tags_by_order.items():
-        entries.append(_entry(
-            f"Q{order}", ("Q", order), order, 2, True, None, tags,
-            family=FamilyParams("Dicyclic", n=order // 4)))
-    return entries
-
-
 def _catalog() -> list:
     pq = lambda p, q: FamilyParams("PQ", p=p, q=q)
     entries = [
@@ -342,19 +307,23 @@ def _catalog() -> list:
         _entry("Z3xQ8", ("Z3xQ8", None), 24, 6, True, 3,
                tags=("counterexample", "counterexample-candidate")),
     ]
-    listed = {e.name for e in entries}
-    sweep_genus = {  # family-formula values for the parameter sweeps
-        "D14": 1, "D16": 1, "D18": 2, "D20": 2, "D22": 4, "D24": 4,
-        "Q16": 1, "Q20": 2, "Q24": 4, "Q28": 6, "Q40": 18,
-    }
-    for extra in _dihedral_entries() + _dicyclic_entries():
-        if extra.name in listed:
-            continue
-        genus = sweep_genus.get(extra.name)
-        entries.append(CatalogEntry(
-            extra.name, extra.builder, extra.expected_order,
-            extra.expected_center, extra.expected_ac, genus, extra.tags,
-            extra.family, extra.alias_of))
+    # parameter sweeps: (order, tags, genus from the family formula)
+    for order, tags, genus in [
+            (8, ("acyclic-list", "planar-list"), None),
+            (14, ("toroidal-list",), 1), (16, ("toroidal-list",), 1),
+            (18, ("counterexample",), 2), (20, ("counterexample",), 2),
+            (22, ("counterexample",), 4),
+            (24, ("counterexample", "counterexample-candidate"), 4)]:
+        entries.append(_entry(f"D{order}", ("D", order), order,
+                              2 - order // 2 % 2, True, genus, tags,
+                              family=FamilyParams("Dihedral", n=order // 2)))
+    for order, tags, genus in [
+            (8, ("acyclic-list", "planar-list"), None),
+            (16, ("toroidal-list",), 1), (20, ("counterexample",), 2),
+            (24, ("counterexample", "counterexample-candidate"), 4),
+            (28, ("counterexample",), 6), (40, ("counterexample",), 18)]:
+        entries.append(_entry(f"Q{order}", ("Q", order), order, 2, True, genus,
+                              tags, family=FamilyParams("Dicyclic", n=order // 4)))
     entries.sort(key=lambda e: e.name)
     return entries
 
@@ -382,36 +351,6 @@ def entry_by_name(name: str) -> CatalogEntry:
 def report_for(name: str):
     """Cached commuting-graph report for a catalog entry."""
     return commuting_graph(entry_by_name(name).build())
-
-
-@dataclass(frozen=True)
-class VerificationRecord:
-    name: str
-    checks: tuple  # (field, expected, actual, ok)
-
-    @property
-    def passed(self):
-        return all(ok for *_, ok in self.checks)
-
-
-def verify_entry(entry: CatalogEntry) -> VerificationRecord:
-    """Build the group and compare invariants against expectations."""
-    group = entry.build()
-    report = report_for(entry.name)
-    checks = [
-        ("order", entry.expected_order, group.order,
-         group.order == entry.expected_order),
-        ("center_order", entry.expected_center, len(group.center()),
-         len(group.center()) == entry.expected_center),
-        ("is_ac", entry.expected_ac, report.is_ac,
-         report.is_ac == entry.expected_ac),
-    ]
-    if entry.expected_genus is not None:
-        actual = report.total.value if report.total.is_exact else \
-            (report.total.lower, report.total.upper)
-        checks.append(("genus", entry.expected_genus, actual,
-                       report.total.is_exact and actual == entry.expected_genus))
-    return VerificationRecord(entry.name, tuple(checks))
 
 
 def catalog_json() -> str:

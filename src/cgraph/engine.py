@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 from .graphs import (
@@ -26,17 +25,6 @@ from .graphs import (
     max_clique,
 )
 from .groups import FiniteGroup
-
-ORACLE_CAP_ENV = "CGRAPH_ORACLE_CAP"
-
-
-def oracle_cap_from_env(default=DEFAULT_ORACLE_EDGE_CAP) -> int:
-    raw = os.environ.get(ORACLE_CAP_ENV)
-    try:
-        return int(raw) if raw else default
-    except ValueError:
-        raise ValueError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}") from None
-
 
 # -- genus of an arbitrary graph ------------------------------------------
 
@@ -267,11 +255,8 @@ class HeawoodBounds:
     order_bound_base: int             # order bound is base ** exponent
     order_bound_exponent: int
 
-    def order_bound(self) -> int:
-        return self.order_bound_base ** self.order_bound_exponent
-
     def admits_order(self, order: int) -> bool:
-        """order < order_bound(), without building the power: any base >= 2
+        """order < base ** exponent, without building the power: any base >= 2
         gives base ** order.bit_length() > order already."""
         return order < self.order_bound_base ** min(self.order_bound_exponent,
                                                     order.bit_length())
@@ -300,9 +285,9 @@ class BoundCheck:
     limit: object
 
 
-def check_bounds_against_group(group: FiniteGroup,
-                               report: CommutingGraphReport) -> list:
-    """Verify the clique / center / abelian-subgroup / order bounds.
+def check_bounds_against_group(report: CommutingGraphReport) -> list:
+    """Verify the clique / center / abelian-subgroup / order bounds of the
+    report's group.
 
     Non-central elements are pairwise commuting iff, with Z(G), they generate
     an abelian subgroup A, so the largest commuting set has the largest
@@ -310,6 +295,7 @@ def check_bounds_against_group(group: FiniteGroup,
     """
     if not report.total.is_exact:
         raise ValueError("bound checks need an exact genus")
+    group = report.group
     bounds = heawood_bounds(report.total.value, t=group.quotient_exponent())
     center = set(group.center())
     worst = None

@@ -115,28 +115,6 @@ class SimpleGraph:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_edge_list_text(cls, text: str) -> "SimpleGraph":
-        """Parse the ``V E`` header format with one ``u v`` pair per line."""
-        rows = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())
-                if ln.strip() and not ln.strip().startswith("#")]
-        if not rows:
-            raise ValueError("line 1: empty graph file")
-        lineno, header = rows[0]
-        parts = header.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
-            raise ValueError(f"line {lineno}: expected 'V E' header, got {header!r}")
-        n, e = int(parts[0]), int(parts[1])
-        if len(rows) - 1 != e:
-            raise ValueError(f"line {lineno}: header promises {e} edges, file has {len(rows) - 1}")
-        edges = []
-        for rowno, line in rows[1:]:
-            toks = line.split()
-            if len(toks) != 2 or not all(t.isdigit() for t in toks):
-                raise ValueError(f"line {rowno}: expected 'u v', got {line!r}")
-            edges.append((int(toks[0]), int(toks[1])))
-        return cls(n, edges)
-
 
 @dataclass(frozen=True)
 class GenusResult:

@@ -219,9 +219,6 @@ class FiniteGroup:
         labels = [f"{self.labels[r]}N" for r in reps]
         return FiniteGroup(table, labels, name=f"{self.name}/N" if self.name else None)
 
-    def quotient_by_center(self) -> "FiniteGroup":
-        return self.quotient(self.center())
-
     def quotient_exponent(self) -> int:
         """Maximum element order in G/Z(G): the largest least k >= 1 with x^k in Z."""
         if self.is_abelian():

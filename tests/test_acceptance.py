@@ -156,11 +156,11 @@ def test_criterion_7_bound_suite():
         center = set(group.center())
         ok = ok and all(len(a) <= bounds.h + len(a & center)
                         for a in group.abelian_subgroups())
-        # big-integer comparison: bounds.order_bound() is an exact power
-        ok = ok and group.order < bounds.order_bound()
-        ok = ok and all(c.passed
-                        for c in check_bounds_against_group(group, report))
-    ok = ok and heawood_bounds(0).order_bound() == 8 ** 1156
+        # big-integer comparison against the exact power
+        ok = ok and group.order < bounds.order_bound_base ** bounds.order_bound_exponent
+        ok = ok and all(c.passed for c in check_bounds_against_group(report))
+    b = heawood_bounds(0)
+    ok = ok and b.order_bound_base ** b.order_bound_exponent == 8 ** 1156
     _report(7, "clique / center / abelian / order bounds hold", ok)
 
 

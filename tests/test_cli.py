@@ -62,6 +62,8 @@ def test_usage_errors_exit_2(runner, tmp_path):
     both = ["info", "--name", "Q8", "--file", str(bad)]
     assert runner.invoke(main, both).exit_code == 2
     assert runner.invoke(main, ["verify", "nonsense"]).exit_code == 2
+    bad_cap = ["genus", "--name", "D", "--param", "8", "--oracle-cap", "abc"]
+    assert runner.invoke(main, bad_cap).exit_code == 2
 
 
 def test_genus_report_d16(runner):
@@ -163,12 +165,6 @@ def test_non_associative_table_file_exits_2(runner, tmp_path):
     path.write_text(LATIN5)
     result = runner.invoke(main, ["genus", "--file", str(path)])
     assert "line 2: table is not associative" in one_line_error(result)
-
-
-def test_bad_oracle_cap_env_exits_2(runner):
-    result = runner.invoke(main, ["genus", "--name", "D", "--param", "8"],
-                           env={"CGRAPH_ORACLE_CAP": "abc"})
-    assert "CGRAPH_ORACLE_CAP" in one_line_error(result)
 
 
 def test_library_error_after_loading_exits_2(runner, monkeypatch):

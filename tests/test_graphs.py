@@ -111,19 +111,6 @@ def test_to_dot():
     assert text.endswith("}\n")
 
 
-def test_from_edge_list_text():
-    g = SimpleGraph.from_edge_list_text("# comment\n3 2\n0 1\n1 2\n")
-    assert g.n == 3 and g.edges() == [(0, 1), (1, 2)]
-    with pytest.raises(ValueError, match="line 1"):
-        SimpleGraph.from_edge_list_text("")
-    with pytest.raises(ValueError, match="header"):
-        SimpleGraph.from_edge_list_text("three two\n")
-    with pytest.raises(ValueError, match="promises"):
-        SimpleGraph.from_edge_list_text("3 2\n0 1\n")
-    with pytest.raises(ValueError, match="line 3"):
-        SimpleGraph.from_edge_list_text("3 1\n\n0 x\n")
-
-
 # -- formulas and bounds ---------------------------------------------------
 
 def test_genus_complete_values():

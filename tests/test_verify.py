@@ -1,0 +1,41 @@
+import json
+
+import pytest
+from click.testing import CliRunner
+
+from cgraph import cli, verify
+from cgraph.cli import main
+from cgraph.verify import SUITES, run_suites
+
+
+@pytest.mark.parametrize("suite", [*SUITES, "all"])
+def test_run_suites_is_what_verify_prints(suite):
+    names = list(SUITES) if suite == "all" else [suite]
+    result = CliRunner().invoke(main, ["verify", suite])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout) == run_suites(names)
+
+
+def test_failing_check_gives_ok_false_without_click(monkeypatch):
+    def half_broken():
+        return [{"group": "X", "ok": True}, {"group": "Y", "ok": False}]
+
+    monkeypatch.setitem(verify.SUITES, "acyclic", half_broken)
+    payload = run_suites(["acyclic", "planar"])
+    assert payload["acyclic"] == {"checks": half_broken(), "passed": 1,
+                                  "failed": 1}
+    assert payload["planar"]["failed"] == 0
+    assert payload["ok"] is False
+
+
+def test_cli_shares_the_suite_table():
+    # the CLI looks suites up in the very dict the module runs, so a suite
+    # replaced through `cli.SUITES` is the one `run_suites` calls
+    assert cli.SUITES is verify.SUITES
+
+
+def test_verbose_counts_go_to_stderr():
+    result = CliRunner().invoke(main, ["verify", "planar", "--verbose"])
+    assert result.exit_code == 0
+    payload = json.loads(result.stdout)
+    assert result.stderr == f"planar: {payload['planar']['passed']}/45 passed\n"
