@@ -15,7 +15,6 @@ import click
 
 from . import catalog
 from .engine import commuting_graph, commuting_graph_of, report_to_json, to_json_text
-from .graphs import DEFAULT_ORACLE_EDGE_CAP
 from .groups import FiniteGroup, group_from_file_text
 from .verify import SUITES, run_suites
 
@@ -96,15 +95,13 @@ def info(name, param, path, verbose):
 
 @main.command()
 @_group_options
-@click.option("--oracle-cap", type=int, default=DEFAULT_ORACLE_EDGE_CAP,
-              show_default=True, help="edge cap for the rotation-system oracle")
 @click.option("--verbose", is_flag=True)
-def genus(name, param, path, oracle_cap, verbose):
+def genus(name, param, path, verbose):
     """Commuting-graph report with block decomposition and genus."""
     group, label = _load_group(name, param, path)
     if group.is_abelian():
         raise click.UsageError(f"{label} is abelian: its commuting graph is empty")
-    report = commuting_graph(group, oracle_cap=oracle_cap)
+    report = commuting_graph(group)
     click.echo(to_json_text(report_to_json(report, name=label)), nl=False)
     if verbose:
         total = report.total

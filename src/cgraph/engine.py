@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .graphs import (
-    DEFAULT_ORACLE_EDGE_CAP,
     GenusResult,
     SimpleGraph,
     disjoint_clique_lower_bound,
@@ -28,7 +27,7 @@ from .groups import FiniteGroup
 
 # -- genus of an arbitrary graph ------------------------------------------
 
-def _block_genus(block: SimpleGraph, oracle_cap: int):
+def _block_genus(block: SimpleGraph):
     """Shape (`K{n}`, `K{m},{n}` or `other`) and genus of a single block."""
     n = block.recognize_complete()
     if n is not None:
@@ -39,17 +38,15 @@ def _block_genus(block: SimpleGraph, oracle_cap: int):
                 GenusResult.exact(genus_complete_bipartite(*mn), "BipartiteFormula"))
     if block.is_planar():
         return "other", GenusResult.exact(0, "PlanarTest")
-    if block.edge_count <= oracle_cap:
-        return "other", GenusResult.exact(genus_oracle(block, oracle_cap),
-                                          "RotationOracle")
-    lower = genus_lower_bound_euler(block)
-    provenance = ["EulerLower", "BettiUpper"]
-    clique_lower = _clique_pair_lower_bound(block)
-    if clique_lower > lower:
-        lower = clique_lower
-        provenance[0] = "DisjointCliqueLower"
+    genus = genus_oracle(block)
+    if genus is not None:
+        return "other", GenusResult.exact(genus, "RotationOracle")
+    # the first largest lower bound wins; a non-planar block has genus >= 1
+    lower, source = max([(genus_lower_bound_euler(block), "EulerLower"),
+                         (_clique_pair_lower_bound(block), "DisjointCliqueLower"),
+                         (1, "NonPlanarLower")], key=lambda bound: bound[0])
     return "other", GenusResult.bounds(lower, genus_upper_bound_betti(block),
-                                       provenance)
+                                       [source, "BettiUpper"])
 
 
 def _clique_pair_lower_bound(g: SimpleGraph) -> int:
@@ -65,10 +62,10 @@ def _clique_pair_lower_bound(g: SimpleGraph) -> int:
     return disjoint_clique_lower_bound(g, first, second)
 
 
-def _block_sum(g: SimpleGraph, oracle_cap: int):
+def _block_sum(g: SimpleGraph):
     """(blocks, shapes, results, total); an exact total is a "BlockSum"."""
     blocks = g.blocks()
-    resolved = [_block_genus(g.induced_subgraph(b), oracle_cap) for b in blocks]
+    resolved = [_block_genus(g.induced_subgraph(b)) for b in blocks]
     results = tuple(result for _, result in resolved)
     if all(r.is_exact for r in results):
         total = GenusResult.exact(sum(r.value for r in results), "BlockSum")
@@ -81,9 +78,9 @@ def _block_sum(g: SimpleGraph, oracle_cap: int):
             results, total)
 
 
-def genus_of_graph(g: SimpleGraph, oracle_cap=DEFAULT_ORACLE_EDGE_CAP) -> GenusResult:
+def genus_of_graph(g: SimpleGraph) -> GenusResult:
     """Total genus: sum over connected components, each a sum over blocks."""
-    _, _, results, total = _block_sum(g, oracle_cap)
+    _, _, results, total = _block_sum(g)
     # an exact genus of a lone block keeps that block's certificate
     return results[0] if len(results) == 1 and total.is_exact else total
 
@@ -119,10 +116,9 @@ def commuting_graph_of(group: FiniteGroup) -> tuple[SimpleGraph, tuple]:
     return SimpleGraph(len(vertices), edges, labels), vertices
 
 
-def commuting_graph(group: FiniteGroup,
-                    oracle_cap=DEFAULT_ORACLE_EDGE_CAP) -> CommutingGraphReport:
+def commuting_graph(group: FiniteGroup) -> CommutingGraphReport:
     graph, vertices = commuting_graph_of(group)
-    blocks, shapes, block_results, total = _block_sum(graph, oracle_cap)
+    blocks, shapes, block_results, total = _block_sum(graph)
     return CommutingGraphReport(
         group=group,
         graph=graph,
@@ -250,8 +246,7 @@ class HeawoodBounds:
 
     genus: int
     h: int
-    center_bound: int | None          # floor(h / (t-1)) when t was supplied
-    abelian_bound: int | None         # h + |A meet Z(G)| when overlap supplied
+    center_bound: int                 # floor(h / (t-1))
     order_bound_base: int             # order bound is base ** exponent
     order_bound_exponent: int
 
@@ -262,16 +257,15 @@ class HeawoodBounds:
                                                     order.bit_length())
 
 
-def heawood_bounds(g: int, t: int | None = None,
-                   center_overlap: int | None = None) -> HeawoodBounds:
-    if t is not None and t < 2:
+def heawood_bounds(g: int, t: int) -> HeawoodBounds:
+    """The bounds for genus g and quotient exponent t = exp(G/Z(G))."""
+    if t < 2:
         raise ValueError("quotient exponent t must be >= 2")
     h = heawood_clique_bound(g)
     return HeawoodBounds(
         genus=g,
         h=h,
-        center_bound=None if t is None else h // (t - 1),
-        abelian_bound=None if center_overlap is None else h + center_overlap,
+        center_bound=h // (t - 1),
         order_bound_base=2 * h,
         order_bound_exponent=h * (4 * h + 1) ** 2,
     )
@@ -296,7 +290,7 @@ def check_bounds_against_group(report: CommutingGraphReport) -> list:
     if not report.total.is_exact:
         raise ValueError("bound checks need an exact genus")
     group = report.group
-    bounds = heawood_bounds(report.total.value, t=group.quotient_exponent())
+    bounds = heawood_bounds(report.total.value, group.quotient_exponent())
     center = set(group.center())
     worst = None
     ok = True
@@ -352,7 +346,7 @@ def report_to_json(report: CommutingGraphReport, name=None) -> dict:
         "genus": _genus_json(report.total),
     }
     if report.total.is_exact:
-        bounds = heawood_bounds(report.total.value, t=group.quotient_exponent())
+        bounds = heawood_bounds(report.total.value, group.quotient_exponent())
         payload["bounds"] = {
             "h": bounds.h,
             "center_bound": bounds.center_bound,

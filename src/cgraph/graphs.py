@@ -9,12 +9,16 @@ bipartite tests, maximum cliques, girth and planarity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
 import networkx as nx
 
-DEFAULT_ORACLE_EDGE_CAP = 16
+# The most rotation systems, prod over vertices of (deg - 1)!, that the oracle
+# enumerates: at 11-14 us each (CPython 3.11, 2-vCPU Xeon VM) a search ends
+# within about 1.4 s.  K_{1,3,3}, with 5,598,720 systems, took 100 s.
+MAX_ROTATION_SYSTEMS = 10 ** 5
 
 
 class SimpleGraph:
@@ -226,23 +230,26 @@ def _face_count(rotation, darts, succ_index):
     return faces
 
 
-def genus_oracle(g: SimpleGraph, edge_cap: int = DEFAULT_ORACLE_EDGE_CAP):
+def genus_oracle(g: SimpleGraph):
     """Exact genus by exhaustive search over rotation systems.
 
     Enumerates every assignment of a cyclic order of incident edges at each
     vertex, traces faces and applies Euler's formula; the minimum over all
-    systems is the orientable genus.  Returns None when the edge count
-    exceeds `edge_cap`.  Stops early once the Euler lower bound is attained.
+    systems is the orientable genus.  Returns None past MAX_ROTATION_SYSTEMS
+    systems; stops early once the Euler lower bound is attained.
     """
     if not g.is_connected():
         raise ValueError("genus oracle requires a connected graph")
     e = g.edge_count
-    if e > edge_cap:
-        return None
     v = g.n
     if e == 0:
         return 0
     adj = g.nx_graph.adj
+    systems = 1
+    for a in range(v):  # every degree is >= 1 in a connected graph with an edge
+        systems *= math.factorial(len(adj[a]) - 1)
+        if systems > MAX_ROTATION_SYSTEMS:
+            return None
     darts = [(a, b) for a in range(v) for b in adj[a]]
     floor_genus = genus_lower_bound_euler(g)
 

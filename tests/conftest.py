@@ -20,3 +20,10 @@ def complete_bipartite_graph(m, n):
 @pytest.fixture
 def k5():
     return complete_graph(5)
+
+
+@pytest.fixture
+def k133():
+    """K_{1,3,3}: 5,598,720 rotation systems, genus 1."""
+    return SimpleGraph(7, [(0, i) for i in range(1, 7)]
+                       + [(i, j) for i in range(1, 4) for j in range(4, 7)])

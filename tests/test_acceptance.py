@@ -159,7 +159,7 @@ def test_criterion_7_bound_suite():
         # big-integer comparison against the exact power
         ok = ok and group.order < bounds.order_bound_base ** bounds.order_bound_exponent
         ok = ok and all(c.passed for c in check_bounds_against_group(report))
-    b = heawood_bounds(0)
+    b = heawood_bounds(0, 2)
     ok = ok and b.order_bound_base ** b.order_bound_exponent == 8 ** 1156
     _report(7, "clique / center / abelian / order bounds hold", ok)
 

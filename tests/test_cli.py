@@ -62,8 +62,8 @@ def test_usage_errors_exit_2(runner, tmp_path):
     both = ["info", "--name", "Q8", "--file", str(bad)]
     assert runner.invoke(main, both).exit_code == 2
     assert runner.invoke(main, ["verify", "nonsense"]).exit_code == 2
-    bad_cap = ["genus", "--name", "D", "--param", "8", "--oracle-cap", "abc"]
-    assert runner.invoke(main, bad_cap).exit_code == 2
+    no_such_option = ["genus", "--name", "D", "--param", "8", "--oracle-cap", "16"]
+    assert runner.invoke(main, no_such_option).exit_code == 2
 
 
 def test_genus_report_d16(runner):
@@ -170,9 +170,20 @@ def test_non_associative_table_file_exits_2(runner, tmp_path):
 def test_library_error_after_loading_exits_2(runner, monkeypatch):
     from cgraph import cli
 
-    def broken(group, oracle_cap):
+    def broken(group):
         raise ValueError("subgroup is not normal")
 
     monkeypatch.setattr(cli, "commuting_graph", broken)
     result = runner.invoke(main, ["genus", "--name", "D", "--param", "8"])
     assert one_line_error(result) == "Error: subgroup is not normal"
+
+
+def test_group_over_max_order_exits_2(runner, tmp_path):
+    from cgraph.groups import MAX_ORDER
+
+    s8 = runner.invoke(main, ["genus", "--name", "S", "--param", "8"])
+    assert f"more than {MAX_ORDER} elements" in one_line_error(s8)
+    path = tmp_path / "big.group"
+    path.write_text(f"order {MAX_ORDER + 1}\ntable\n")
+    header = runner.invoke(main, ["info", "--file", str(path)])
+    assert one_line_error(header).startswith("Error: line 1: group order")

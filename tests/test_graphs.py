@@ -1,6 +1,8 @@
 import math
+from collections import Counter
 from itertools import combinations, product
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from cgraph import (
     disjoint_clique_lower_bound,
     genus_complete,
     genus_complete_bipartite,
+    genus_of_graph,
     genus_lower_bound_euler,
     genus_oracle,
     genus_upper_bound_betti,
@@ -198,10 +201,37 @@ def test_oracle_petersen_is_toroidal():
     assert genus_oracle(petersen) == 1
 
 
-def test_oracle_respects_edge_cap(k5):
-    assert genus_oracle(k5, edge_cap=5) is None
+def test_oracle_returns_none_over_system_limit(k133):
+    assert genus_oracle(k133) is None
     with pytest.raises(ValueError):
         genus_oracle(SimpleGraph(2))  # disconnected
+
+
+@st.composite
+def oracle_graphs(draw, max_systems=2000):
+    """A connected graph on at most 7 vertices with few rotation systems: a
+    random spanning tree, half the time grown from a K_{3,3} so that it is
+    non-planar, then drawn extra edges while the count allows."""
+    n = draw(st.integers(1, 7))
+    k33 = n >= 6 and draw(st.booleans())
+    edges = {(i, j) for i in range(3) for j in range(3, 6)} if k33 else set()
+    edges |= {(draw(st.integers(0, v - 1)), v) for v in range(6 if k33 else 1, n)}
+    extra = [e for e in combinations(range(n), 2) if e not in edges]
+    for e in draw(st.permutations(extra)) if extra else ():
+        degree = Counter(v for edge in edges | {e} for v in edge)
+        if math.prod(math.factorial(d - 1) for d in degree.values()) <= max_systems:
+            edges.add(e)
+    return SimpleGraph(n, sorted(edges))
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_graphs())
+def test_oracle_against_planarity_bounds_and_block_sum(g):
+    genus = genus_oracle(g)
+    assert (genus == 0) == nx.is_planar(g.nx_graph)
+    assert genus_lower_bound_euler(g) <= genus <= genus_upper_bound_betti(g)
+    result = genus_of_graph(g)
+    assert result.is_exact and result.value == genus
 
 
 # -- the graph layer against brute force -----------------------------------

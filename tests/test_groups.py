@@ -11,7 +11,7 @@ from cgraph import (
     group_from_permutations,
 )
 from cgraph.catalog import build, catalog_entries
-from cgraph.groups import ClosureCapError, parse_cycles, perm_cycle_label
+from cgraph.groups import MAX_ORDER, parse_cycles, perm_cycle_label
 from conftest import LATIN5
 
 
@@ -43,8 +43,10 @@ def test_non_bijection_generator_raises():
 
 
 def test_closure_cap():
-    with pytest.raises(ClosureCapError):
-        group_from_permutations([(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)], cap=10)
+    # S8 (order 40320) stops once the BFS passes MAX_ORDER; GL(2,9) still fits
+    assert MAX_ORDER >= 5760
+    with pytest.raises(ValueError, match=f"more than {MAX_ORDER} elements"):
+        group_from_permutations([(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)])
 
 
 def test_table_validation():
@@ -100,8 +102,8 @@ def test_direct_product_with_trivial_factor():
 
 
 def test_direct_product_cap():
-    with pytest.raises(ClosureCapError):
-        direct_product(build("S", 5), build("S", 5), cap=1000)
+    with pytest.raises(ValueError, match=f"order 14400 exceeds the limit of {MAX_ORDER}"):
+        direct_product(build("S", 5), build("S", 5))
 
 
 def test_quotient_by_center():
@@ -257,8 +259,9 @@ def test_group_file_errors_report_line_numbers():
 
 
 def test_group_from_operation_rejects_oversized_model():
-    with pytest.raises(ClosureCapError):
-        group_from_operation(range(100), lambda a, b: (a + b) % 100, 0, cap=50)
+    n = MAX_ORDER + 1
+    with pytest.raises(ValueError, match=f"order {n} exceeds the limit"):
+        group_from_operation(range(n), lambda a, b: (a + b) % n, 0)
 
 
 @st.composite
