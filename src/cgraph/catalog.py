@@ -10,10 +10,11 @@ the defining relations while reaching the full group order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .engine import FamilyParams, commuting_graph
+from .engine import commuting_graph
 from .fields import FIELDS, FieldContext, Mat2
 from .groups import FiniteGroup, direct_product, group_from_operation, group_from_permutations, group_from_matrices
 
@@ -196,32 +197,40 @@ _SIMPLE_BUILDERS = {
     "Z5xS3": lambda: direct_product(_cyclic(5), _symmetric(3)),
 }
 
+# family -> (builder, order of the group it must build)
 _PARAMETRIC_BUILDERS = {
-    "D": _dihedral,
-    "Q": _dicyclic,
-    "SD": _semidihedral,
-    "S": _symmetric,
-    "A": _alternating,
-    "Z": _cyclic,
-    "GL2": _gl2,
-    "SL2": _sl2,
-    "PSL2": _psl2_char2,
+    "D": (_dihedral, lambda n: n),
+    "Q": (_dicyclic, lambda n: n),
+    "SD": (_semidihedral, lambda n: n),
+    "S": (_symmetric, math.factorial),
+    "A": (_alternating, lambda n: math.factorial(n) // 2),
+    "Z": (_cyclic, lambda n: n),
+    "GL2": (_gl2, lambda q: (q * q - 1) * (q * q - q)),
+    "SL2": (_sl2, lambda q: q * (q * q - 1)),
+    "PSL2": (_psl2_char2, lambda q: q * (q * q - 1) // math.gcd(2, q - 1)),
 }
 
 
 @lru_cache(maxsize=None)
 def build(name: str, param: int | None = None) -> FiniteGroup:
-    """Build a catalog group by name, e.g. build("D", 14) or build("Sz(2)")."""
-    if param is not None:
-        if name not in _PARAMETRIC_BUILDERS:
-            raise ValueError(f"unknown parametric family {name!r}")
-        return _PARAMETRIC_BUILDERS[name](param)
-    if name in _SIMPLE_BUILDERS:
-        return _SIMPLE_BUILDERS[name]()
-    for prefix in ("SD", "D", "Q"):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            return _PARAMETRIC_BUILDERS[prefix](int(name[len(prefix):]))
-    raise ValueError(f"unknown catalog group {name!r}")
+    """Build a catalog group by name, e.g. build("D", 14), build("D14") or
+    build("Sz(2)"); a parametric build must have its family's order."""
+    if param is None:
+        if name in _SIMPLE_BUILDERS:
+            return _SIMPLE_BUILDERS[name]()
+        prefix = next((p for p in ("SD", "D", "Q")
+                       if name.startswith(p) and name[len(p):].isdigit()), None)
+        if prefix is None:
+            raise ValueError(f"unknown catalog group {name!r}")
+        name, param = prefix, int(name[len(prefix):])
+    if name not in _PARAMETRIC_BUILDERS:
+        raise ValueError(f"unknown parametric family {name!r}")
+    builder, order = _PARAMETRIC_BUILDERS[name]
+    group = builder(param)
+    if group.order != order(param):
+        raise ValueError(f"{name} {param} built a group of order {group.order}, "
+                         f"but the order formula gives {order(param)}")
+    return group
 
 
 # -- the catalog -----------------------------------------------------------
@@ -237,7 +246,7 @@ class CatalogEntry:
     expected_ac: bool
     expected_genus: int | None        # None: no exact value is asserted
     tags: tuple
-    family: FamilyParams | None = None  # closed-form formula, when one applies
+    family: tuple | None = None       # family_genus arguments, when a formula applies
     alias_of: str | None = None       # isomorphic to another catalog entry
 
     def build(self) -> FiniteGroup:
@@ -255,20 +264,19 @@ def _entry(name, builder, order, center, ac, genus, tags=("counterexample",),
 
 
 def _catalog() -> list:
-    pq = lambda p, q: FamilyParams("PQ", p=p, q=q)
     entries = [
         _entry("S3", ("S", 3), 6, 1, True, 0,
-               ("acyclic-list", "planar-list"), family=pq(2, 3)),
+               ("acyclic-list", "planar-list"), family=("PQ", 2, 3)),
         _entry("D10", ("D", 10), 10, 1, True, 0, ("planar-list",),
-               family=pq(2, 5)),
+               family=("PQ", 2, 5)),
         _entry("A4", ("A", 4), 12, 1, True, 0, ("planar-list",)),
         _entry("Sz(2)", ("Sz(2)", None), 20, 1, True, 0, ("planar-list",)),
         _entry("S4", ("S", 4), 24, 1, False, 0, ("planar-list",)),
         _entry("A5", ("A", 5), 60, 1, True, 0, ("planar-list",)),
         _entry("D12", ("D", 12), 12, 2, True, 0, ("planar-list",),
-               family=FamilyParams("Dihedral", n=6)),
+               family=("Dihedral", 6)),
         _entry("Q12", ("Q", 12), 12, 2, True, 0, ("planar-list",),
-               family=FamilyParams("Dicyclic", n=3)),
+               family=("Dicyclic", 3)),
         _entry("SL(2,3)", ("SL(2,3)", None), 24, 2, True, 0, ("planar-list",)),
         _entry("Z2xD8", ("Z2xD8", None), 16, 4, True, 0, ("planar-list",)),
         _entry("Z2xQ8", ("Z2xQ8", None), 16, 4, True, 0, ("planar-list",)),
@@ -277,27 +285,27 @@ def _catalog() -> list:
         _entry("D8*Z4", ("D8*Z4", None), 16, 4, True, 0, ("planar-list",)),
         _entry("M16", ("M16", None), 16, 4, True, 0, ("planar-list",)),
         _entry("Z7:Z3", ("Z7:Z3", None), 21, 1, True, 1, ("toroidal-list",),
-               family=pq(3, 7)),
+               family=("PQ", 3, 7)),
         _entry("Z2xA4", ("Z2xA4", None), 24, 2, True, 1, ("toroidal-list",)),
         _entry("Z3xS3", ("Z3xS3", None), 18, 3, True, 1, ("toroidal-list",)),
         _entry("SD16", ("SD", 16), 16, 2, True, 1, ("toroidal-list",),
-               family=FamilyParams("Semidihedral", k=4)),
+               family=("Semidihedral", 4)),
         # counterexamples exercised by the classification proofs
         _entry("S5", ("S", 5), 120, 1, False, None),
         _entry("GL(2,3)", ("GL2", 3), 48, 2, True, 3,
-               family=FamilyParams("GL2", q=3)),
+               family=("GL2", 3)),
         _entry("PSL(2,4)", ("PSL2", 4), 60, 1, True, 0, ("counterexample",),
-               family=FamilyParams("PSL2", k=2), alias_of="A5"),
+               family=("PSL2", 2), alias_of="A5"),
         _entry("PSL(2,8)", ("PSL2", 8), 504, 1, True, 101,
-               family=FamilyParams("PSL2", k=3)),
+               family=("PSL2", 3)),
         _entry("SD32", ("SD", 32), 32, 2, True, 10,
-               family=FamilyParams("Semidihedral", k=5)),
+               family=("Semidihedral", 5)),
         _entry("27_exp3", ("27_exp3", None), 27, 3, True, 4,
-               family=FamilyParams("PCubed", p=3)),
+               family=("PCubed", 3)),
         _entry("27_exp9", ("27_exp9", None), 27, 3, True, 4,
-               family=FamilyParams("PCubed", p=3)),
+               family=("PCubed", 3)),
         _entry("D30", ("D", 30), 30, 1, True, 10,
-               family=FamilyParams("Dihedral", n=15)),
+               family=("Dihedral", 15)),
         _entry("Z3xD10", ("Z3xD10", None), 30, 3, True, 6),
         _entry("Z5xS3", ("Z5xS3", None), 30, 5, True, 7),
         _entry("Z2xD12", ("Z2xD12", None), 24, 4, True, 2,
@@ -316,14 +324,14 @@ def _catalog() -> list:
             (24, ("counterexample", "counterexample-candidate"), 4)]:
         entries.append(_entry(f"D{order}", ("D", order), order,
                               2 - order // 2 % 2, True, genus, tags,
-                              family=FamilyParams("Dihedral", n=order // 2)))
+                              family=("Dihedral", order // 2)))
     for order, tags, genus in [
             (8, ("acyclic-list", "planar-list"), None),
             (16, ("toroidal-list",), 1), (20, ("counterexample",), 2),
             (24, ("counterexample", "counterexample-candidate"), 4),
             (28, ("counterexample",), 6), (40, ("counterexample",), 18)]:
         entries.append(_entry(f"Q{order}", ("Q", order), order, 2, True, genus,
-                              tags, family=FamilyParams("Dicyclic", n=order // 4)))
+                              tags, family=("Dicyclic", order // 4)))
     entries.sort(key=lambda e: e.name)
     return entries
 

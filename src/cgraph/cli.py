@@ -55,6 +55,13 @@ def _load_group(name, param, path) -> tuple[FiniteGroup, str]:
     return group, group.name or label
 
 
+def _write(path, text):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
+
+
 def _group_options(fn):
     fn = click.option("--file", "path", type=click.Path(), default=None,
                       help="group file (table or perm-generators format)")(fn)
@@ -120,10 +127,7 @@ def export_dot(name, param, path, out):
     if group.is_abelian():
         raise click.UsageError(f"{label} is abelian: its commuting graph is empty")
     graph, _ = commuting_graph_of(group)
-    try:
-        Path(out).write_text(graph.to_dot(name=label))
-    except OSError as exc:
-        raise click.UsageError(f"cannot write {out}: {exc}")
+    _write(out, graph.to_dot(name=label))
     click.echo(to_json_text({"written": str(out), "vertices": graph.n,
                              "edges": graph.edge_count}), nl=False)
 
@@ -137,7 +141,7 @@ def export_catalog(out):
     if out is None:
         click.echo(text, nl=False)
     else:
-        Path(out).write_text(text)
+        _write(out, text)
         click.echo(to_json_text({"written": str(out)}), nl=False)
 
 

@@ -72,8 +72,8 @@ def _block_sum(g: SimpleGraph):
     else:
         provenance = sorted({p for r in results if not r.is_exact
                              for p in r.provenance})
-        total = GenusResult.bounds(sum(r.low() for r in results),
-                                   sum(r.high() for r in results), provenance)
+        total = GenusResult.bounds(sum(r.lower for r in results),
+                                   sum(r.upper for r in results), provenance)
     return (blocks, tuple(shape for shape, _ in resolved),
             results, total)
 
@@ -100,6 +100,7 @@ class CommutingGraphReport:
     block_results: tuple     # GenusResult per block
     total: GenusResult
     is_ac: bool
+    heawood: HeawoodBounds | None   # the bounds of an exact genus
 
 
 def commuting_graph_of(group: FiniteGroup) -> tuple[SimpleGraph, tuple]:
@@ -119,6 +120,8 @@ def commuting_graph_of(group: FiniteGroup) -> tuple[SimpleGraph, tuple]:
 def commuting_graph(group: FiniteGroup) -> CommutingGraphReport:
     graph, vertices = commuting_graph_of(group)
     blocks, shapes, block_results, total = _block_sum(graph)
+    heawood = (heawood_bounds(total.value, group.quotient_exponent())
+               if total.is_exact else None)
     return CommutingGraphReport(
         group=group,
         graph=graph,
@@ -129,6 +132,7 @@ def commuting_graph(group: FiniteGroup) -> CommutingGraphReport:
         block_results=block_results,
         total=total,
         is_ac=group.is_ac_group(),
+        heawood=heawood,
     )
 
 
@@ -145,88 +149,71 @@ def ac_genus(group: FiniteGroup) -> GenusResult:
 
 # -- closed-form family formulas -------------------------------------------
 
-FAMILY_TAGS = ("Dihedral", "Dicyclic", "Semidihedral", "PQ", "PCubed",
-               "PSL2", "GL2", "AbelianTimesAC")
-
-
 def _is_prime(n):
     return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    """Parameters selecting one family instance (see `family_genus`)."""
-
-    tag: str
-    n: int | None = None        # Dihedral (order 2n), Dicyclic (order 4n)
-    p: int | None = None        # PQ, PCubed, GL2 characteristic
-    q: int | None = None        # PQ, GL2 field order
-    k: int | None = None        # Semidihedral (order 2^k), PSL2 exponent
-    abelian_order: int | None = None    # AbelianTimesAC factor |A|
-    family_sizes: tuple = ()            # AbelianTimesAC base-group |X| sizes
-
-    def __post_init__(self):
-        if self.tag not in FAMILY_TAGS:
-            raise ValueError(f"unknown family tag {self.tag!r}")
-        tag = self.tag
-        if tag == "Dihedral" and (self.n is None or self.n < 3):
+def family_genus(tag: str, *params) -> int:
+    """Closed-form genus of the commuting graph of one family instance:
+    ("Dihedral", n) of order 2n, ("Dicyclic", n) of order 4n,
+    ("Semidihedral", k) of order 2^k, ("PQ", p, q), ("PCubed", p),
+    ("PSL2", k) for PSL(2,2^k), ("GL2", q), and ("AbelianTimesAC", |A|, the
+    base group's family sizes |X|)."""
+    if tag == "Dihedral":
+        (n,) = params
+        if n < 3:
             raise ValueError("dihedral formula needs n >= 3 (group order 2n)")
-        if tag == "Dicyclic" and (self.n is None or self.n < 2):
-            raise ValueError("dicyclic formula needs n >= 2 (group order 4n)")
-        if tag == "Semidihedral" and (self.k is None or self.k < 4):
-            raise ValueError("semidihedral formula needs k >= 4 (group order 2^k)")
-        if tag == "PQ":
-            if not (self.p and self.q and _is_prime(self.p) and _is_prime(self.q)):
-                raise ValueError("pq formula needs primes p and q")
-            if (self.q - 1) % self.p:
-                raise ValueError(f"pq formula needs p | q-1, got p={self.p}, q={self.q}")
-        if tag == "PCubed" and not (self.p and _is_prime(self.p)):
-            raise ValueError("p^3 formula needs a prime p")
-        if tag == "PSL2" and (self.k is None or self.k < 2):
-            raise ValueError("PSL(2,2^k) formula needs k >= 2")
-        if tag == "GL2":
-            if self.q is None or self.q < 3:
-                raise ValueError("GL(2,q) formula needs q > 2")
-            base = min(d for d in range(2, self.q + 1) if self.q % d == 0)
-            power = self.q
-            while power % base == 0:
-                power //= base
-            if power != 1:
-                raise ValueError(f"GL(2,q) formula needs a prime power q, got {self.q}")
-        if tag == "AbelianTimesAC":
-            if not self.abelian_order or not self.family_sizes:
-                raise ValueError("product formula needs |A| and the base family sizes")
-
-
-def family_genus(params: FamilyParams) -> int:
-    """Closed-form genus of the commuting graph for the given family."""
-    t = params.tag
-    if t == "Dihedral":
-        n = params.n
         return genus_complete(n - 2) if n % 2 == 0 else genus_complete(n - 1)
-    if t == "Dicyclic":
-        return genus_complete(2 * (params.n - 1))
-    if t == "Semidihedral":
-        return genus_complete(2 ** (params.k - 1) - 2)
-    if t == "PQ":
-        p, q = params.p, params.q
+    if tag == "Dicyclic":
+        (n,) = params
+        if n < 2:
+            raise ValueError("dicyclic formula needs n >= 2 (group order 4n)")
+        return genus_complete(2 * (n - 1))
+    if tag == "Semidihedral":
+        (k,) = params
+        if k < 4:
+            raise ValueError("semidihedral formula needs k >= 4 (group order 2^k)")
+        return genus_complete(2 ** (k - 1) - 2)
+    if tag == "PQ":
+        p, q = params
+        if not (_is_prime(p) and _is_prime(q)):
+            raise ValueError("pq formula needs primes p and q")
+        if (q - 1) % p:
+            raise ValueError(f"pq formula needs p | q-1, got p={p}, q={q}")
         return genus_complete(q - 1) + q * genus_complete(p - 1)
-    if t == "PCubed":
-        p = params.p
+    if tag == "PCubed":
+        (p,) = params
+        if not _is_prime(p):
+            raise ValueError("p^3 formula needs a prime p")
         return (p + 1) * genus_complete(p * (p - 1))
-    if t == "PSL2":
-        m = 2 ** params.k
+    if tag == "PSL2":
+        (k,) = params
+        if k < 2:
+            raise ValueError("PSL(2,2^k) formula needs k >= 2")
+        m = 2 ** k
         return ((m + 1) * genus_complete(m - 1)
                 + (m // 2) * (m + 1) * genus_complete(m - 2)
                 + (m // 2) * (m - 1) * genus_complete(m))
-    if t == "GL2":
-        q = params.q
+    if tag == "GL2":
+        (q,) = params
+        if q < 3:
+            raise ValueError("GL(2,q) formula needs q > 2")
+        base = min(d for d in range(2, q + 1) if q % d == 0)
+        power = q
+        while power % base == 0:
+            power //= base
+        if power != 1:
+            raise ValueError(f"GL(2,q) formula needs a prime power q, got {q}")
         return (q * (q + 1) // 2 * genus_complete((q - 1) * (q - 2))
                 + q * (q - 1) // 2 * genus_complete(q * (q - 1))
                 + (q + 1) * genus_complete((q - 1) ** 2))
-    # AbelianTimesAC: each family member X of G scales to |A| * |X|.
-    a = params.abelian_order
-    return sum(genus_complete(a * x) for x in params.family_sizes)
+    if tag == "AbelianTimesAC":
+        # each family member X of G scales to |A| * |X|
+        a, family_sizes = params
+        if not a or not family_sizes:
+            raise ValueError("product formula needs |A| and the base family sizes")
+        return sum(genus_complete(a * x) for x in family_sizes)
+    raise ValueError(f"unknown family tag {tag!r}")
 
 
 # -- Heawood-style bounds --------------------------------------------------
@@ -271,26 +258,18 @@ def heawood_bounds(g: int, t: int) -> HeawoodBounds:
     )
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    name: str
-    passed: bool
-    observed: object
-    limit: object
-
-
 def check_bounds_against_group(report: CommutingGraphReport) -> list:
-    """Verify the clique / center / abelian-subgroup / order bounds of the
-    report's group.
+    """The clique / center / abelian-subgroup / order checks of the report's
+    Heawood bounds, as dicts with keys check, observed, limit and ok.
 
     Non-central elements are pairwise commuting iff, with Z(G), they generate
     an abelian subgroup A, so the largest commuting set has the largest
     |A| - |A meet Z(G)| elements and needs no clique search.
     """
-    if not report.total.is_exact:
+    bounds = report.heawood
+    if bounds is None:
         raise ValueError("bound checks need an exact genus")
     group = report.group
-    bounds = heawood_bounds(report.total.value, group.quotient_exponent())
     center = set(group.center())
     worst = None
     ok = True
@@ -303,11 +282,15 @@ def check_bounds_against_group(report: CommutingGraphReport) -> list:
             worst = (len(sub) - overlap, len(sub), limit)
     z = len(center)
     return [
-        BoundCheck("max_commuting_set", worst[0] <= bounds.h, worst[0], bounds.h),
-        BoundCheck("center_size", z <= bounds.center_bound, z, bounds.center_bound),
-        BoundCheck("abelian_subgroups", ok, worst[1], worst[2]),
-        BoundCheck("order_bound", bounds.admits_order(group.order), group.order,
-                   f"{bounds.order_bound_base}^{bounds.order_bound_exponent}"),
+        {"check": "max_commuting_set", "observed": worst[0], "limit": bounds.h,
+         "ok": worst[0] <= bounds.h},
+        {"check": "center_size", "observed": z, "limit": bounds.center_bound,
+         "ok": z <= bounds.center_bound},
+        {"check": "abelian_subgroups", "observed": worst[1], "limit": worst[2],
+         "ok": ok},
+        {"check": "order_bound", "observed": group.order,
+         "limit": f"{bounds.order_bound_base}^{bounds.order_bound_exponent}",
+         "ok": bounds.admits_order(group.order)},
     ]
 
 
@@ -345,8 +328,8 @@ def report_to_json(report: CommutingGraphReport, name=None) -> dict:
         "blocks": blocks,
         "genus": _genus_json(report.total),
     }
-    if report.total.is_exact:
-        bounds = heawood_bounds(report.total.value, group.quotient_exponent())
+    bounds = report.heawood
+    if bounds is not None:
         payload["bounds"] = {
             "h": bounds.h,
             "center_bound": bounds.center_bound,

@@ -122,7 +122,8 @@ class SimpleGraph:
 
 @dataclass(frozen=True)
 class GenusResult:
-    """Either an exact genus with a certificate, or a lower/upper interval."""
+    """Either an exact genus with a certificate, or a lower/upper interval;
+    an exact genus is also its own interval."""
 
     kind: str                       # "exact" | "bounds"
     value: int | None = None
@@ -135,7 +136,8 @@ class GenusResult:
     def exact(cls, value, certificate):
         if value < 0:
             raise ValueError("genus cannot be negative")
-        return cls("exact", value=value, certificate=certificate)
+        return cls("exact", value=value, certificate=certificate,
+                   lower=value, upper=value)
 
     @classmethod
     def bounds(cls, lower, upper, provenance=()):
@@ -146,12 +148,6 @@ class GenusResult:
     @property
     def is_exact(self):
         return self.kind == "exact"
-
-    def low(self):
-        return self.value if self.is_exact else self.lower
-
-    def high(self):
-        return self.value if self.is_exact else self.upper
 
 
 # -- genus formulas and bounds ---------------------------------------------

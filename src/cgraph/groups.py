@@ -422,7 +422,10 @@ def group_from_file_text(text: str) -> FiniteGroup:
                 gens.append(parse_cycles(line, m))
             except ValueError as exc:
                 fail(rowno, str(exc))
-        group = group_from_permutations(gens)
+        try:
+            group = group_from_permutations(gens)
+        except ValueError as exc:  # the generators close past MAX_ORDER
+            fail(lineno, str(exc))
         if group.order != n:
             fail(lineno, f"generators produce order {group.order}, header says {n}")
         return group

@@ -11,12 +11,7 @@ from __future__ import annotations
 import math
 
 from . import catalog
-from .engine import (
-    FamilyParams,
-    check_bounds_against_group,
-    commuting_graph,
-    family_genus,
-)
+from .engine import check_bounds_against_group, commuting_graph, family_genus
 from .graphs import disjoint_clique_lower_bound
 from .groups import direct_product
 
@@ -89,35 +84,34 @@ def _s5_witness_check():
 def _suite_formulas():
     checks = []
 
-    def check(params, group, label=None):
-        formula = family_genus(params)
+    def check(family, group, label=None):
+        formula = family_genus(*family)
         total = commuting_graph(group).total
         checks.append({
-            "family": params.tag, "group": label or group.name,
+            "family": family[0], "group": label or group.name,
             "formula": formula,
             "engine": total.value if total.is_exact else None,
             "ok": total.is_exact and total.value == formula})
 
     for n in range(3, 13):
-        check(FamilyParams("Dihedral", n=n), catalog.build("D", 2 * n))
+        check(("Dihedral", n), catalog.build("D", 2 * n))
     for n in range(2, 8):
-        check(FamilyParams("Dicyclic", n=n), catalog.build("Q", 4 * n))
+        check(("Dicyclic", n), catalog.build("Q", 4 * n))
     for k in (4, 5):
-        check(FamilyParams("Semidihedral", k=k), catalog.build("SD", 2 ** k))
+        check(("Semidihedral", k), catalog.build("SD", 2 ** k))
     for (p, q), (name, param) in [((2, 3), ("S3", None)), ((2, 5), ("D", 10)),
                                   ((2, 7), ("D", 14)), ((3, 7), ("Z7:Z3", None))]:
-        check(FamilyParams("PQ", p=p, q=q), catalog.build(name, param))
+        check(("PQ", p, q), catalog.build(name, param))
     for name in ("27_exp3", "27_exp9"):
-        check(FamilyParams("PCubed", p=3), catalog.build(name))
-    check(FamilyParams("PSL2", k=2), catalog.build("PSL2", 4))
-    check(FamilyParams("GL2", q=3), catalog.build("GL2", 3))
+        check(("PCubed", 3), catalog.build(name))
+    check(("PSL2", 2), catalog.build("PSL2", 4))
+    check(("GL2", 3), catalog.build("GL2", 3))
     # abelian factors: A x G scales every family member by |A|
     for a_order in (2, 3):
         for base_name in ("S3", "D8", "Q8"):
             base = catalog.build(base_name)
             sizes = tuple(sorted(map(len, base.centralizer_family())))
-            check(FamilyParams("AbelianTimesAC", abelian_order=a_order,
-                               family_sizes=sizes),
+            check(("AbelianTimesAC", a_order, sizes),
                   direct_product(catalog.build("Z", a_order), base),
                   f"Z{a_order}x{base_name}")
     return checks
@@ -129,10 +123,8 @@ def _suite_bounds():
         report = catalog.report_for(entry.name)
         if not report.total.is_exact:
             continue
-        for check in check_bounds_against_group(report):
-            checks.append({"group": entry.name, "check": check.name,
-                           "observed": check.observed, "limit": check.limit,
-                           "ok": check.passed})
+        checks.extend({"group": entry.name, **check}
+                      for check in check_bounds_against_group(report))
     return checks
 
 

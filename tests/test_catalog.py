@@ -35,6 +35,27 @@ def test_sl2_order(q):
     assert build("SL2", q).order == q * (q * q - 1)
 
 
+@pytest.mark.parametrize("name, param, order", [
+    ("PSL2", 2, 6), ("PSL2", 4, 60), ("PSL2", 8, 504), ("Z", 1, 1), ("Z", 5, 5),
+    ("PSL2", 3, None), ("PSL2", 5, None), ("PSL2", 7, None), ("PSL2", 9, None),
+    ("Z", 0, None)])
+def test_parametric_build_has_the_formula_order(name, param, order):
+    if order is None:
+        with pytest.raises(ValueError, match="order formula"):
+            build(name, param)
+    else:
+        assert build(name, param).order == order
+
+
+def test_prefix_build_checks_the_order_formula(monkeypatch):
+    from cgraph import catalog
+
+    builder, _ = catalog._PARAMETRIC_BUILDERS["D"]
+    monkeypatch.setitem(catalog._PARAMETRIC_BUILDERS, "D", (builder, lambda n: n + 1))
+    with pytest.raises(ValueError, match="order formula"):
+        catalog.build.__wrapped__("D14")
+
+
 @pytest.mark.parametrize("q", sorted(FIELDS))
 def test_primitive_scalar_generates_the_multiplicative_group(q):
     ctx = field(q)
@@ -121,7 +142,7 @@ def test_family_params_agree_with_expected_genus():
     for entry in catalog_entries():
         if entry.family is None or entry.expected_genus is None:
             continue
-        assert family_genus(entry.family) == entry.expected_genus, entry.name
+        assert family_genus(*entry.family) == entry.expected_genus, entry.name
 
 
 @pytest.mark.parametrize("entry", catalog_entries(), ids=lambda e: e.name)

@@ -187,3 +187,26 @@ def test_group_over_max_order_exits_2(runner, tmp_path):
     path.write_text(f"order {MAX_ORDER + 1}\ntable\n")
     header = runner.invoke(main, ["info", "--file", str(path)])
     assert one_line_error(header).startswith("Error: line 1: group order")
+    # generators whose closure passes the limit are reported at their section
+    path.write_text("order 6\nperm-generators 8\n(1 2)\n(1 2 3 4 5 6 7 8)\n")
+    closure = runner.invoke(main, ["info", "--file", str(path)])
+    assert one_line_error(closure) == \
+        f"Error: line 2: more than {MAX_ORDER} elements, the order limit"
+
+
+@pytest.mark.parametrize("args", [
+    ["info", "--name", "PSL2", "--param", "9"],
+    ["info", "--name", "Z", "--param", "0"],
+])
+def test_build_off_its_order_formula_exits_2(runner, args):
+    assert "the order formula gives" in one_line_error(runner.invoke(main, args))
+
+
+@pytest.mark.parametrize("args", [
+    ["export-catalog"],
+    ["export-dot", "--name", "Q8"],
+])
+def test_unwritable_out_exits_2(runner, tmp_path, args):
+    out = tmp_path / "missing" / "out.txt"
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert one_line_error(result).startswith(f"Error: cannot write {out}")

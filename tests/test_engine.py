@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cgraph import (
-    FamilyParams,
     ac_genus,
     check_bounds_against_group,
     commuting_graph,
@@ -145,50 +144,49 @@ def test_vertex_elements_and_labels_align():
 # -- family formulas -------------------------------------------------------
 
 def test_family_params_validation():
-    with pytest.raises(ValueError):
-        FamilyParams("NoSuchFamily")
-    with pytest.raises(ValueError):
-        FamilyParams("Dihedral", n=2)
-    with pytest.raises(ValueError):
-        FamilyParams("Semidihedral", k=3)
-    with pytest.raises(ValueError):
-        FamilyParams("PQ", p=3, q=5)    # 3 does not divide 4
-    with pytest.raises(ValueError):
-        FamilyParams("PQ", p=2, q=9)    # 9 is not prime
-    with pytest.raises(ValueError):
-        FamilyParams("GL2", q=6)        # not a prime power
-    with pytest.raises(ValueError):
-        FamilyParams("AbelianTimesAC", abelian_order=2)
+    with pytest.raises(ValueError, match="unknown family tag"):
+        family_genus("NoSuchFamily")
+    with pytest.raises(ValueError, match="n >= 3"):
+        family_genus("Dihedral", 2)
+    with pytest.raises(ValueError, match="k >= 4"):
+        family_genus("Semidihedral", 3)
+    with pytest.raises(ValueError, match=r"p \| q-1"):
+        family_genus("PQ", 3, 5)        # 3 does not divide 4
+    with pytest.raises(ValueError, match="primes"):
+        family_genus("PQ", 2, 9)        # 9 is not prime
+    with pytest.raises(ValueError, match="prime power"):
+        family_genus("GL2", 6)
+    with pytest.raises(ValueError, match="base family sizes"):
+        family_genus("AbelianTimesAC", 2, ())
 
 
 def test_family_genus_small_values():
-    assert family_genus(FamilyParams("Dihedral", n=3)) == 0
-    assert family_genus(FamilyParams("Dihedral", n=8)) == 1
-    assert family_genus(FamilyParams("Dihedral", n=9)) == 2
-    assert family_genus(FamilyParams("Dicyclic", n=2)) == 0
-    assert family_genus(FamilyParams("Dicyclic", n=4)) == 1
-    assert family_genus(FamilyParams("Semidihedral", k=4)) == 1
-    assert family_genus(FamilyParams("Semidihedral", k=5)) == 10
-    assert family_genus(FamilyParams("PQ", p=3, q=7)) == 1
-    assert family_genus(FamilyParams("PCubed", p=3)) == 4
-    assert family_genus(FamilyParams("PSL2", k=2)) == 0
-    assert family_genus(FamilyParams("PSL2", k=3)) == 101
-    assert family_genus(FamilyParams("GL2", q=3)) == 3
-    assert family_genus(FamilyParams(
-        "AbelianTimesAC", abelian_order=2, family_sizes=(4, 2, 2, 2))) == 2
+    assert family_genus("Dihedral", 3) == 0
+    assert family_genus("Dihedral", 8) == 1
+    assert family_genus("Dihedral", 9) == 2
+    assert family_genus("Dicyclic", 2) == 0
+    assert family_genus("Dicyclic", 4) == 1
+    assert family_genus("Semidihedral", 4) == 1
+    assert family_genus("Semidihedral", 5) == 10
+    assert family_genus("PQ", 3, 7) == 1
+    assert family_genus("PCubed", 3) == 4
+    assert family_genus("PSL2", 2) == 0
+    assert family_genus("PSL2", 3) == 101
+    assert family_genus("GL2", 3) == 3
+    assert family_genus("AbelianTimesAC", 2, (4, 2, 2, 2)) == 2
 
 
 def test_family_genus_matches_catalog_groups():
     cases = [
-        (FamilyParams("Dihedral", n=8), ("D", 16)),
-        (FamilyParams("Dicyclic", n=4), ("Q", 16)),
-        (FamilyParams("Semidihedral", k=4), ("SD", 16)),
-        (FamilyParams("PQ", p=3, q=7), ("Z7:Z3", None)),
-        (FamilyParams("GL2", q=3), ("GL2", 3)),
+        (("Dihedral", 8), ("D", 16)),
+        (("Dicyclic", 4), ("Q", 16)),
+        (("Semidihedral", 4), ("SD", 16)),
+        (("PQ", 3, 7), ("Z7:Z3", None)),
+        (("GL2", 3), ("GL2", 3)),
     ]
-    for params, (name, param) in cases:
+    for family, (name, param) in cases:
         engine = commuting_graph(build(name, param)).total
-        assert engine.is_exact and engine.value == family_genus(params)
+        assert engine.is_exact and engine.value == family_genus(*family)
 
 
 # -- Heawood-style bounds --------------------------------------------------
@@ -236,9 +234,10 @@ def test_check_bounds_against_group():
     group = build("D", 16)
     report = commuting_graph(group)
     checks = check_bounds_against_group(report)
-    assert {c.name for c in checks} == {
-        "max_commuting_set", "center_size", "abelian_subgroups", "order_bound"}
-    assert all(c.passed for c in checks)
+    assert [list(c) for c in checks] == [["check", "observed", "limit", "ok"]] * 4
+    assert [c["check"] for c in checks] == [
+        "max_commuting_set", "center_size", "abelian_subgroups", "order_bound"]
+    assert all(c["ok"] for c in checks)
 
 
 def test_max_commuting_set_is_the_maximum_clique():
@@ -248,8 +247,15 @@ def test_max_commuting_set_is_the_maximum_clique():
     for entry in exact:
         report = report_for(entry.name)
         check = check_bounds_against_group(report)[0]
-        assert check.name == "max_commuting_set"
-        assert check.observed == len(max_clique(report.graph)), entry.name
+        assert check["check"] == "max_commuting_set"
+        assert check["observed"] == len(max_clique(report.graph)), entry.name
+
+
+def test_report_carries_the_heawood_bounds_of_an_exact_genus():
+    group = build("D", 16)
+    report = commuting_graph(group)
+    assert report.heawood == heawood_bounds(1, group.quotient_exponent())
+    assert report_for("S5").heawood is None
 
 
 def test_check_bounds_requires_exact_genus():
