@@ -44,8 +44,6 @@ def _dicyclic(order):
     n = order // 4
     m = 2 * n
     # element model: (i, 0) = y^i, (i, 1) = x y^i, with x^2 = y^n, x y x^-1 = y^-1
-    elems = [(i, e) for e in range(2) for i in range(m)]
-
     def op(a, b):
         (i, e), (j, f) = a, b
         if e == 0:
@@ -56,7 +54,7 @@ def _dicyclic(order):
         i, e = elem
         return ("x" if e else "") + (f"y^{i}" if i else ("" if e else "1"))
 
-    return group_from_operation(elems, op, (0, 0), label, name=f"Q{order}")
+    return group_from_operation([(1, 0), (0, 1)], op, (0, 0), label, name=f"Q{order}")
 
 
 def _semidihedral(order):
@@ -70,18 +68,24 @@ def _semidihedral(order):
 
 
 def _symmetric(n):
+    if n < 1:
+        raise ValueError(f"symmetric group degree must be >= 1, got {n}")
     transposition = tuple([1, 0] + list(range(2, n)))
     cycle = tuple(list(range(1, n)) + [0])
-    return group_from_permutations([transposition, cycle], name=f"S{n}")
+    return group_from_permutations([transposition, cycle] if n > 1 else [],
+                                   name=f"S{n}")
 
 
 def _alternating(n):
+    if n < 1:
+        raise ValueError(f"alternating group degree must be >= 1, got {n}")
     three_cycle = tuple([1, 2, 0] + list(range(3, n)))
     if n % 2:
         long_cycle = tuple(list(range(1, n)) + [0])
     else:
         long_cycle = tuple([0] + list(range(2, n)) + [1])
-    return group_from_permutations([three_cycle, long_cycle], name=f"A{n}")
+    return group_from_permutations([three_cycle, long_cycle] if n > 2 else [],
+                                   name=f"A{n}")
 
 
 @lru_cache(maxsize=None)
@@ -156,7 +160,8 @@ def _d8_star_z4():
     prod = direct_product(d8, z4)
     z = next(x for x in d8.center() if x != 0)
     c2 = next(x for x in range(4) if z4.element_order(x) == 2)
-    fused = prod.quotient(prod.subgroup_closure([z * 4 + c2]))
+    pair = prod.labels.index(f"({d8.labels[z]},{z4.labels[c2]})")
+    fused = prod.quotient(prod.subgroup_closure([pair]))
     fused.name = "D8*Z4"
     return fused
 
@@ -203,7 +208,7 @@ _PARAMETRIC_BUILDERS = {
     "Q": (_dicyclic, lambda n: n),
     "SD": (_semidihedral, lambda n: n),
     "S": (_symmetric, math.factorial),
-    "A": (_alternating, lambda n: math.factorial(n) // 2),
+    "A": (_alternating, lambda n: max(1, math.factorial(n) // 2)),
     "Z": (_cyclic, lambda n: n),
     "GL2": (_gl2, lambda q: (q * q - 1) * (q * q - q)),
     "SL2": (_sl2, lambda q: q * (q * q - 1)),
@@ -357,8 +362,22 @@ def entry_by_name(name: str) -> CatalogEntry:
 
 @lru_cache(maxsize=None)
 def report_for(name: str):
-    """Cached commuting-graph report for a catalog entry."""
-    return commuting_graph(entry_by_name(name).build())
+    """Cached commuting-graph report for a catalog entry, whose built group
+    must have the entry's order, center order, AC flag and (where one is set)
+    exact genus."""
+    entry = entry_by_name(name)
+    report = commuting_graph(entry.build())
+    total = report.total
+    for field_name, observed, expected in [
+            ("order", report.group.order, entry.expected_order),
+            ("center order", len(report.group.center()), entry.expected_center),
+            ("AC flag", report.is_ac, entry.expected_ac),
+            ("genus", total.value if total.is_exact else [total.lower, total.upper],
+             entry.expected_genus)]:
+        if expected is not None and observed != expected:
+            raise ValueError(f"catalog entry {name}: {field_name} is {observed}, "
+                             f"expected {expected}")
+    return report
 
 
 def catalog_json() -> str:

@@ -231,7 +231,6 @@ def heawood_clique_bound(g: int) -> int:
 class HeawoodBounds:
     """The bounds on clique size, center, abelian subgroups and group order."""
 
-    genus: int
     h: int
     center_bound: int                 # floor(h / (t-1))
     order_bound_base: int             # order bound is base ** exponent
@@ -250,7 +249,6 @@ def heawood_bounds(g: int, t: int) -> HeawoodBounds:
         raise ValueError("quotient exponent t must be >= 2")
     h = heawood_clique_bound(g)
     return HeawoodBounds(
-        genus=g,
         h=h,
         center_bound=h // (t - 1),
         order_bound_base=2 * h,

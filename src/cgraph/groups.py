@@ -1,7 +1,8 @@
 """Finite groups as complete multiplication tables.
 
-Groups are built by generator closure (permutations or 2x2 matrices over a
-finite field), by direct products, or from an explicit element model, and are
+Every group is built by one generator closure, `group_from_operation`:
+permutations, 2x2 matrices over a finite field, element models, direct
+products and quotients only supply its generators and product.  Groups are
 immutable once constructed.  Element ordering is BFS from the identity over
 the generators in the order given, which keeps labels deterministic.
 """
@@ -17,40 +18,9 @@ from .fields import FieldContext, Mat2
 
 # The largest group order.  A build peaks at about 16 B per table entry (GL(2,9),
 # 5760 elements, peaks at 548 MiB), so 6000 elements bound it at about 590 MiB.
-# Every construction checks it before it pays the n^2 table fill.
+# The closure checks it before it pays the n^2 table fill, and a group file at
+# its `order n` header.
 MAX_ORDER = 6000
-
-
-def _check_order(n):
-    if n > MAX_ORDER:
-        raise ValueError(f"group order {n} exceeds the limit of {MAX_ORDER}")
-
-
-def _closure(identity, generators, mul):
-    """(elements, table) of the group generated under `mul`, by BFS from the
-    identity over right multiplication by the generators in the order given.
-
-    Only the n*|S| products x*s use `mul`.  Each b but the identity is
-    parent(b)*s, so the table is filled by lookup, a*b = right[s][a*parent(b)].
-    """
-    index = {identity: 0}
-    elements = [identity]
-    parents = [None]
-    right = [[] for _ in generators]
-    for x, g in enumerate(elements):  # `elements` grows while it is walked
-        for s, gen in enumerate(generators):
-            h = mul(g, gen)
-            if h not in index:
-                if len(elements) == MAX_ORDER:
-                    raise ValueError(f"more than {MAX_ORDER} elements, the order limit")
-                index[h] = len(elements)
-                elements.append(h)
-                parents.append((x, s))
-            right[s].append(index[h])
-    columns = [range(len(elements))]
-    for x, s in parents[1:]:
-        columns.append(list(map(right[s].__getitem__, columns[x])))
-    return elements, list(zip(*columns))
 
 
 class FiniteGroup:
@@ -83,7 +53,6 @@ class FiniteGroup:
             raise ValueError("table has no identity element")
         if identity != 0:
             raise ValueError("identity must be at index 0")
-        self.identity = identity
         self.inverse = [row.index(0) for row in self.table]
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         if len(self.labels) != n:
@@ -194,6 +163,16 @@ class FiniteGroup:
                     work.append(ext)
         return found
 
+    def generators(self) -> list:
+        """A generating set, picked greedily: each element in index order that
+        the earlier picks do not generate."""
+        gens, reached = [], {0}
+        for g in range(self.order):
+            if g not in reached:
+                gens.append(g)
+                reached = self.subgroup_closure(gens)
+        return gens
+
     # -- quotients --------------------------------------------------------
 
     def quotient(self, normal) -> "FiniteGroup":
@@ -205,23 +184,16 @@ class FiniteGroup:
             for x in nset:
                 if self.conjugate(g, x) not in nset:
                     raise ValueError("subgroup is not normal")
-        coset_of = {}
-        reps = []
+        coset_of = [None] * self.order  # element -> least member of its coset
         for x in range(self.order):
-            if x in coset_of:
-                continue
-            members = sorted(self.table[x][h] for h in nset)
-            rep = members[0]
-            for m in members:
-                coset_of[m] = rep
-            reps.append(rep)
-        # identity coset first, rest in representative order
-        reps.sort()
-        assert reps[0] == coset_of[0]
-        rep_index = {r: i for i, r in enumerate(reps)}
-        table = [[rep_index[coset_of[self.table[a][b]]] for b in reps] for a in reps]
-        labels = [f"{self.labels[r]}N" for r in reps]
-        return FiniteGroup(table, labels, name=f"{self.name}/N" if self.name else None)
+            if coset_of[x] is None:  # no smaller element shares its coset
+                for h in nset:
+                    coset_of[self.table[x][h]] = x
+        return group_from_operation(
+            [coset_of[g] for g in self.generators()],
+            lambda x, y: coset_of[self.table[x][y]], 0,
+            lambda r: f"{self.labels[r]}N",
+            name=f"{self.name}/N" if self.name else None)
 
     def quotient_exponent(self) -> int:
         """Maximum element order in G/Z(G): the largest least k >= 1 with x^k in Z."""
@@ -274,6 +246,34 @@ def perm_cycle_label(perm) -> str:
     return "".join(parts) or "()"
 
 
+def group_from_operation(generators, op, identity, label=str, name=None) -> FiniteGroup:
+    """The group generated under `op`, by BFS from the identity over right
+    multiplication by the generators in the order given.
+
+    Only the n*|S| products x*s use `op`.  Each b but the identity is
+    parent(b)*s, so the table is filled by lookup, a*b = right[s][a*parent(b)].
+    """
+    gens = list(generators)
+    index = {identity: 0}
+    elements = [identity]
+    parents = [None]
+    right = [[] for _ in gens]
+    for x, g in enumerate(elements):  # `elements` grows while it is walked
+        for s, gen in enumerate(gens):
+            h = op(g, gen)
+            if h not in index:
+                if len(elements) == MAX_ORDER:
+                    raise ValueError(f"more than {MAX_ORDER} elements, the order limit")
+                index[h] = len(elements)
+                elements.append(h)
+                parents.append((x, s))
+            right[s].append(index[h])
+    columns = [range(len(elements))]
+    for x, s in parents[1:]:
+        columns.append(list(map(right[s].__getitem__, columns[x])))
+    return FiniteGroup(list(zip(*columns)), map(label, elements), name=name)
+
+
 def group_from_permutations(generators, name=None) -> FiniteGroup:
     """The group generated by permutations on {0..m-1} under composition."""
     gens = [tuple(g) for g in generators]
@@ -281,9 +281,8 @@ def group_from_permutations(generators, name=None) -> FiniteGroup:
     for g in gens:
         if sorted(g) != list(range(m)):
             raise ValueError(f"generator {g} is not a bijection on 0..{m - 1}")
-    elements, table = _closure(tuple(range(m)), gens, _perm_compose)
-    labels = [perm_cycle_label(p) for p in elements]
-    return FiniteGroup(table, labels, name=name)
+    return group_from_operation(gens, _perm_compose, tuple(range(m)),
+                                perm_cycle_label, name)
 
 
 def group_from_matrices(generators, context: FieldContext, name=None) -> FiniteGroup:
@@ -292,34 +291,18 @@ def group_from_matrices(generators, context: FieldContext, name=None) -> FiniteG
     for g in gens:
         if not g.det():
             raise ValueError(f"generator {g} is singular")
-    elements, table = _closure(Mat2.identity(context), gens, operator.mul)
-    labels = [repr(g) for g in elements]
-    return FiniteGroup(table, labels, name=name)
-
-
-def group_from_operation(elements, op, identity, label=str, name=None) -> FiniteGroup:
-    """A group from an explicit element model with multiplication `op`."""
-    elements = list(elements)
-    _check_order(len(elements))
-    if elements[0] != identity:
-        elements = [identity] + [e for e in elements if e != identity]
-    index = {e: i for i, e in enumerate(elements)}
-    table = [[index[op(a, b)] for b in elements] for a in elements]
-    return FiniteGroup(table, [label(e) for e in elements], name=name)
+    return group_from_operation(gens, operator.mul, Mat2.identity(context), repr, name)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, name=None) -> FiniteGroup:
-    """Componentwise product; element (i, j) gets index i * |B| + j."""
-    _check_order(a.order * b.order)
-    nb = b.order
-    table = [[a.table[i][k] * nb + b.table[j][l]
-              for k in range(a.order) for l in range(nb)]
-             for i in range(a.order) for j in range(nb)]
-    labels = [f"({a.labels[i]},{b.labels[j]})"
-              for i in range(a.order) for j in range(nb)]
+    """Componentwise product of pairs (i, j), generated by (0, t) and (s, 0)
+    over the generators t of B and s of A."""
+    gens = [(0, t) for t in b.generators()] + [(s, 0) for s in a.generators()]
     if name is None and a.name and b.name:
         name = f"{a.name} x {b.name}"
-    return FiniteGroup(table, labels, name=name)
+    return group_from_operation(
+        gens, lambda x, y: (a.table[x[0]][y[0]], b.table[x[1]][y[1]]), (0, 0),
+        lambda x: f"({a.labels[x[0]]},{b.labels[x[1]]})", name)
 
 
 def _check_associative(group: FiniteGroup) -> FiniteGroup:
@@ -329,12 +312,7 @@ def _check_associative(group: FiniteGroup) -> FiniteGroup:
     generating set is picked greedily, so the test costs O(n^2 |S|).
     """
     t, n = group.table, group.order
-    gens, reached = [], {0}
-    for g in range(n):
-        if g not in reached:
-            gens.append(g)
-            reached = group.subgroup_closure(gens)
-    for s in gens:
+    for s in group.generators():
         for x in range(n):
             for y in range(n):
                 if t[t[x][s]][y] != t[x][t[s][y]]:

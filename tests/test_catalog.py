@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -38,7 +39,7 @@ def test_sl2_order(q):
 @pytest.mark.parametrize("name, param, order", [
     ("PSL2", 2, 6), ("PSL2", 4, 60), ("PSL2", 8, 504), ("Z", 1, 1), ("Z", 5, 5),
     ("PSL2", 3, None), ("PSL2", 5, None), ("PSL2", 7, None), ("PSL2", 9, None),
-    ("Z", 0, None)])
+    ("Z", 0, None), ("S", 1, 1), ("S", 2, 2), ("A", 1, 1), ("A", 2, 1), ("A", 3, 3)])
 def test_parametric_build_has_the_formula_order(name, param, order):
     if order is None:
         with pytest.raises(ValueError, match="order formula"):
@@ -155,6 +156,26 @@ def test_verify_every_entry(entry):
     if entry.expected_genus is not None:
         assert report.total.is_exact, report.total
         assert report.total.value == entry.expected_genus
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("expected_order", 7, "order is 6, expected 7"),
+    ("expected_center", 2, "center order is 1, expected 2"),
+    ("expected_ac", False, "AC flag is True, expected False"),
+    ("expected_genus", 1, "genus is 0, expected 1"),
+])
+def test_report_for_checks_the_entry(monkeypatch, field, value, message):
+    from cgraph import catalog
+
+    patched = [replace(e, **{field: value}) if e.name == "S3" else e
+               for e in catalog._ENTRIES]
+    monkeypatch.setattr(catalog, "_ENTRIES", patched)
+    report_for.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=f"^catalog entry S3: {message}$"):
+            report_for("S3")
+    finally:
+        report_for.cache_clear()
 
 
 def test_s5_has_no_expected_genus():

@@ -202,6 +202,33 @@ def test_build_off_its_order_formula_exits_2(runner, args):
     assert "the order formula gives" in one_line_error(runner.invoke(main, args))
 
 
+@pytest.mark.parametrize("args, message", [
+    (["info", "--name", "S", "--param", "0"],
+     "Error: symmetric group degree must be >= 1, got 0"),
+    (["info", "--name", "A", "--param", "-1"],
+     "Error: alternating group degree must be >= 1, got -1"),
+])
+def test_degree_below_1_exits_2(runner, args, message):
+    assert one_line_error(runner.invoke(main, args)) == message
+
+
+def test_catalog_entry_mismatch_exits_2(runner, monkeypatch):
+    from dataclasses import replace
+
+    from cgraph import catalog
+
+    patched = [replace(e, expected_center=3) if e.name == "D8" else e
+               for e in catalog._ENTRIES]
+    monkeypatch.setattr(catalog, "_ENTRIES", patched)
+    catalog.report_for.cache_clear()
+    try:
+        result = runner.invoke(main, ["verify", "all"])
+    finally:
+        catalog.report_for.cache_clear()
+    assert one_line_error(result) == \
+        "Error: catalog entry D8: center order is 2, expected 3"
+
+
 @pytest.mark.parametrize("args", [
     ["export-catalog"],
     ["export-dot", "--name", "Q8"],

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -102,7 +103,7 @@ def test_direct_product_with_trivial_factor():
 
 
 def test_direct_product_cap():
-    with pytest.raises(ValueError, match=f"order 14400 exceeds the limit of {MAX_ORDER}"):
+    with pytest.raises(ValueError, match=f"more than {MAX_ORDER} elements, the order limit"):
         direct_product(build("S", 5), build("S", 5))
 
 
@@ -260,13 +261,24 @@ def test_group_file_errors_report_line_numbers():
 
 def test_group_from_operation_rejects_oversized_model():
     n = MAX_ORDER + 1
-    with pytest.raises(ValueError, match=f"order {n} exceeds the limit"):
-        group_from_operation(range(n), lambda a, b: (a + b) % n, 0)
+    with pytest.raises(ValueError, match=f"more than {MAX_ORDER} elements, the order limit"):
+        group_from_operation([1], lambda a, b: (a + b) % n, 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 11, 25])
+def test_dicyclic_relations(n):
+    """Q_{4n} = <x, y | y^{2n} = 1, x^2 = y^n, x y x^-1 = y^-1>."""
+    g = build("Q", 4 * n)
+    element = {lbl: i for i, lbl in enumerate(g.labels)}
+    x, y = element["x"], element["y^1"]
+    assert g.element_order(y) == 2 * n
+    assert g.mul(x, x) == element[f"y^{n}"]
+    assert g.conjugate(x, y) == g.inv(y)
 
 
 @st.composite
-def permutation_generators(draw):
-    degree = draw(st.integers(1, 6))
+def permutation_generators(draw, max_degree=6):
+    degree = draw(st.integers(1, max_degree))
     perm = st.permutations(range(degree)).map(tuple)
     return draw(st.lists(perm, max_size=3))
 
@@ -288,6 +300,33 @@ def test_closure_table_matches_plain_composition(gens):
              for a in elements]
     assert group.table == table
     assert group.labels == [perm_cycle_label(p) for p in elements]
+
+
+@settings(max_examples=25, deadline=None)
+@given(permutation_generators(max_degree=4), permutation_generators(max_degree=4))
+def test_product_and_quotient_tables_match_labels(gens_a, gens_b):
+    """Each entry of A x B is the componentwise product, and each entry of
+    G/Z(G) the coset of the product, with elements found by their labels."""
+    a, b = group_from_permutations(gens_a), group_from_permutations(gens_b)
+    prod = direct_product(a, b)
+    assert prod.order == a.order * b.order
+    pair = {lbl: i for i, lbl in enumerate(prod.labels)}
+    index = [[pair[f"({la},{lb})"] for lb in b.labels] for la in a.labels]
+    for i, j, k, m in itertools.product(range(a.order), range(b.order), repeat=2):
+        assert prod.table[index[i][j]][index[k][m]] \
+            == index[a.table[i][k]][b.table[j][m]]
+
+    g = prod
+    center = g.center()
+    quot = g.quotient(center)
+    assert quot.order * len(center) == g.order
+    coset = {lbl: i for i, lbl in enumerate(quot.labels)}
+    # a coset is labelled by its least member
+    of = [coset[f"{g.labels[min(g.table[x][z] for z in center)]}N"]
+          for x in range(g.order)]
+    for x in range(g.order):
+        for y in range(g.order):
+            assert quot.table[of[x]][of[y]] == of[g.table[x][y]]
 
 
 @settings(max_examples=40, deadline=None)
