@@ -3,7 +3,6 @@
 from .engine import (
     CommutingGraphReport,
     HeawoodBounds,
-    ac_genus,
     check_bounds_against_group,
     commuting_graph,
     commuting_graph_of,
@@ -42,7 +41,6 @@ __all__ = [
     "HeawoodBounds",
     "Mat2",
     "SimpleGraph",
-    "ac_genus",
     "check_bounds_against_group",
     "commuting_graph",
     "commuting_graph_of",

@@ -223,6 +223,8 @@ def build(name: str, param: int | None = None) -> FiniteGroup:
     if param is None:
         if name in _SIMPLE_BUILDERS:
             return _SIMPLE_BUILDERS[name]()
+        if name in _PARAMETRIC_BUILDERS:
+            raise ValueError(f"catalog family {name!r} needs a parameter")
         prefix = next((p for p in ("SD", "D", "Q")
                        if name.startswith(p) and name[len(p):].isdigit()), None)
         if prefix is None:

@@ -136,17 +136,6 @@ def commuting_graph(group: FiniteGroup) -> CommutingGraphReport:
     )
 
 
-def ac_genus(group: FiniteGroup) -> GenusResult:
-    """Genus of an AC-group via its centralizer family: sum of gamma(K_|X|)."""
-    if group.is_abelian():
-        raise ValueError("AC genus requires a non-abelian group")
-    if not group.is_ac_group():
-        raise ValueError("group is not an AC-group")
-    family = group.centralizer_family()
-    value = sum(genus_complete(len(member)) for member in family)
-    return GenusResult.exact(value, "BlockSum")
-
-
 # -- closed-form family formulas -------------------------------------------
 
 def _is_prime(n):

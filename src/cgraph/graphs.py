@@ -16,8 +16,9 @@ from itertools import combinations, permutations, product
 import networkx as nx
 
 # The most rotation systems, prod over vertices of (deg - 1)!, that the oracle
-# enumerates: at 11-14 us each (CPython 3.11, 2-vCPU Xeon VM) a search ends
-# within about 1.4 s.  K_{1,3,3}, with 5,598,720 systems, took 100 s.
+# enumerates.  A system costs 8-9 us on 7- and 8-vertex blocks and 12-16 us on
+# the 14-vertex Heawood graph (CPython 3.11, 2-vCPU Xeon VM), so a search ends
+# within about 1-1.6 s.  K_{1,3,3}, with 5,598,720 systems, took 100 s.
 MAX_ROTATION_SYSTEMS = 10 ** 5
 
 
@@ -207,25 +208,6 @@ def max_clique(g: SimpleGraph):
 
 # -- exact genus oracle ----------------------------------------------------
 
-def _face_count(rotation, darts, succ_index):
-    """Number of faces traced by the rotation system."""
-    unseen = set(darts)
-    faces = 0
-    while unseen:
-        dart = next(iter(unseen))
-        cur = dart
-        while True:
-            unseen.discard(cur)
-            u, v = cur
-            rot = rotation[v]
-            w = rot[(succ_index[v][u] + 1) % len(rot)]
-            cur = (v, w)
-            if cur == dart:
-                break
-        faces += 1
-    return faces
-
-
 def genus_oracle(g: SimpleGraph):
     """Exact genus by exhaustive search over rotation systems.
 
@@ -249,21 +231,26 @@ def genus_oracle(g: SimpleGraph):
     darts = [(a, b) for a in range(v) for b in adj[a]]
     floor_genus = genus_lower_bound_euler(g)
 
-    # Cyclic orders at a vertex: fix the first neighbor, permute the rest.
-    per_vertex = []
+    # Cyclic orders at a vertex as successor maps: fix the smallest neighbour,
+    # permute the rest.
+    orders = []
     for a in range(v):
-        nbrs = sorted(adj[a])
-        if len(nbrs) <= 2:
-            per_vertex.append([tuple(nbrs)])
-        else:
-            head, rest = nbrs[0], nbrs[1:]
-            per_vertex.append([(head,) + p for p in permutations(rest)])
+        head, *rest = sorted(adj[a])
+        orders.append([dict(zip((head,) + p, p + (head,)))
+                       for p in permutations(rest)])
 
     best = None
-    for assignment in product(*per_vertex):
-        succ_index = [
-            {b: i for i, b in enumerate(rot)} for rot in assignment]
-        faces = _face_count(assignment, darts, succ_index)
+    for succ in product(*orders):
+        # the dart (a, b) is followed on its face by (b, succ[b][a])
+        unseen = set(darts)
+        faces = 0
+        for dart in darts:
+            if dart in unseen:
+                faces += 1
+                a, b = dart
+                while (a, b) in unseen:
+                    unseen.remove((a, b))
+                    a, b = b, succ[b][a]
         genus = (2 - v + e - faces) // 2
         if best is None or genus < best:
             best = genus

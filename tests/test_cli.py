@@ -212,6 +212,13 @@ def test_degree_below_1_exits_2(runner, args, message):
     assert one_line_error(runner.invoke(main, args)) == message
 
 
+@pytest.mark.parametrize("name", ["GL2", "D", "S", "Z"])
+def test_family_without_its_parameter_exits_2(runner, name):
+    result = runner.invoke(main, ["info", "--name", name])
+    assert one_line_error(result) == \
+        f"Error: catalog family '{name}' needs a parameter"
+
+
 def test_catalog_entry_mismatch_exits_2(runner, monkeypatch):
     from dataclasses import replace
 

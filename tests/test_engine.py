@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cgraph import (
-    ac_genus,
     check_bounds_against_group,
     commuting_graph,
     commuting_graph_of,
@@ -98,8 +97,6 @@ def test_commuting_graph_of_s3_is_three_isolated_edges_short():
 def test_commuting_graph_of_abelian_group_raises():
     with pytest.raises(ValueError):
         commuting_graph_of(build("Z", 6))
-    with pytest.raises(ValueError):
-        ac_genus(build("Z", 6))
 
 
 def test_commuting_graph_report_d8():
@@ -119,19 +116,19 @@ def test_commuting_graph_report_d12():
     assert report.total.value == 0
 
 
-def test_ac_genus_matches_engine():
-    for name, param in [("D", 14), ("D", 16), ("Q", 16), ("SD", 16),
-                        ("GL2", 3), ("Z7:Z3", None)]:
-        group = build(name, param)
-        shortcut = ac_genus(group)
-        engine = commuting_graph(group).total
-        assert shortcut.is_exact and engine.is_exact
-        assert shortcut.value == engine.value
-
-
-def test_ac_genus_rejects_non_ac_group():
-    with pytest.raises(ValueError):
-        ac_genus(build("S", 4))
+def test_ac_blocks_are_the_centralizer_family_cliques():
+    # in an AC-group the commuting graph is the disjoint union of the cliques
+    # K_|X| over the centralizer family, so its blocks are the members |X| >= 2
+    entries = [e for e in catalog_entries() if e.expected_ac]
+    assert entries
+    for entry in entries:
+        report = report_for(entry.name)
+        members = tuple(m for m in report.group.centralizer_family() if len(m) >= 2)
+        blocks = tuple(tuple(report.vertex_elements[v] for v in b)
+                       for b in report.blocks)
+        assert blocks == members, entry.name
+        assert report.block_shapes == tuple(f"K{len(m)}" for m in members)
+        assert report.total.value == sum(genus_complete(len(m)) for m in members)
 
 
 def test_vertex_elements_and_labels_align():

@@ -201,6 +201,18 @@ def test_oracle_petersen_is_toroidal():
     assert genus_oracle(petersen) == 1
 
 
+def test_oracle_heawood_graph_runs_to_the_end():
+    # bipartite but not K_{m,n}: 2^14 = 16,384 systems, all searched, since the
+    # Euler floor is 0 and the genus is 1
+    heawood = nx.convert_node_labels_to_integers(nx.heawood_graph())
+    g = SimpleGraph(14, heawood.edges())
+    assert g.recognize_complete_bipartite() is None
+    assert genus_lower_bound_euler(g) == 0
+    result = genus_of_graph(g)
+    assert result.is_exact and result.value == 1
+    assert result.certificate == "RotationOracle"
+
+
 def test_oracle_returns_none_over_system_limit(k133):
     assert genus_oracle(k133) is None
     with pytest.raises(ValueError):
@@ -232,6 +244,14 @@ def test_oracle_against_planarity_bounds_and_block_sum(g):
     assert genus_lower_bound_euler(g) <= genus <= genus_upper_bound_betti(g)
     result = genus_of_graph(g)
     assert result.is_exact and result.value == genus
+
+
+@settings(max_examples=50, deadline=None)
+@given(oracle_graphs(), st.data())
+def test_oracle_is_invariant_under_relabelling(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    relabelled = SimpleGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert genus_oracle(relabelled) == genus_oracle(g)
 
 
 # -- the graph layer against brute force -----------------------------------
