@@ -177,11 +177,6 @@ def _heisenberg27():
 
 
 _SIMPLE_BUILDERS = {
-    "S3": lambda: _symmetric(3),
-    "S4": lambda: _symmetric(4),
-    "S5": lambda: _symmetric(5),
-    "A4": lambda: _alternating(4),
-    "A5": lambda: _alternating(5),
     "Sz(2)": lambda: _holonomy(5, 2, "Sz(2)"),
     "Z7:Z3": lambda: _holonomy(7, 2, "Z7:Z3"),
     "M16": lambda: _holonomy(8, 5, "M16"),
@@ -218,8 +213,10 @@ _PARAMETRIC_BUILDERS = {
 
 @lru_cache(maxsize=None)
 def build(name: str, param: int | None = None) -> FiniteGroup:
-    """Build a catalog group by name, e.g. build("D", 14), build("D14") or
-    build("Sz(2)"); a parametric build must have its family's order."""
+    """Build a catalog group by name, e.g. build("D", 14), build("D14"),
+    build("Sz(2)") or build("PSL(2,8)"): every catalog entry name loads, the
+    names `export-catalog` lists.  A parametric build must have its family's
+    order."""
     if param is None:
         if name in _SIMPLE_BUILDERS:
             return _SIMPLE_BUILDERS[name]()
@@ -228,7 +225,11 @@ def build(name: str, param: int | None = None) -> FiniteGroup:
         prefix = next((p for p in ("SD", "D", "Q")
                        if name.startswith(p) and name[len(p):].isdigit()), None)
         if prefix is None:
-            raise ValueError(f"unknown catalog group {name!r}")
+            # any other entry, e.g. "PSL(2,8)", loads through its builder
+            entry = next((e for e in _ENTRIES if e.name == name), None)
+            if entry is None:
+                raise ValueError(f"unknown catalog group {name!r}")
+            return build(*entry.builder)
         name, param = prefix, int(name[len(prefix):])
     if name not in _PARAMETRIC_BUILDERS:
         raise ValueError(f"unknown parametric family {name!r}")

@@ -1,9 +1,8 @@
 """Commuting graphs and their genus.
 
 Builds the commuting graph of a finite non-abelian group, resolves genus
-through block decomposition with formula / planarity / oracle dispatch,
-implements the centralizer-family shortcut for AC-groups, the closed-form
-family formulas, and the Heawood-style bounds.
+through block decomposition with formula / planarity / oracle dispatch, and
+implements the closed-form family formulas and the Heawood-style bounds.
 """
 
 from __future__ import annotations
@@ -15,13 +14,11 @@ from dataclasses import dataclass
 from .graphs import (
     GenusResult,
     SimpleGraph,
-    disjoint_clique_lower_bound,
     genus_complete,
     genus_complete_bipartite,
     genus_lower_bound_euler,
     genus_oracle,
     genus_upper_bound_betti,
-    max_clique,
 )
 from .groups import FiniteGroup
 
@@ -41,25 +38,11 @@ def _block_genus(block: SimpleGraph):
     genus = genus_oracle(block)
     if genus is not None:
         return "other", GenusResult.exact(genus, "RotationOracle")
-    # the first largest lower bound wins; a non-planar block has genus >= 1
-    lower, source = max([(genus_lower_bound_euler(block), "EulerLower"),
-                         (_clique_pair_lower_bound(block), "DisjointCliqueLower"),
-                         (1, "NonPlanarLower")], key=lambda bound: bound[0])
+    # a block that failed the planarity test has genus >= 1
+    euler = genus_lower_bound_euler(block)
+    lower, source = (euler, "EulerLower") if euler >= 1 else (1, "NonPlanarLower")
     return "other", GenusResult.bounds(lower, genus_upper_bound_betti(block),
                                        [source, "BettiUpper"])
-
-
-def _clique_pair_lower_bound(g: SimpleGraph) -> int:
-    """Lower bound from two disjoint maximum cliques (additivity of genus)."""
-    first = max_clique(g)
-    if len(first) < 5:
-        return 0
-    rest = sorted(set(range(g.n)) - set(first))
-    second = []
-    if len(rest) >= 5:
-        remainder = g.induced_subgraph(rest)
-        second = [rest[v] for v in max_clique(remainder)]
-    return disjoint_clique_lower_bound(g, first, second)
 
 
 def _block_sum(g: SimpleGraph):

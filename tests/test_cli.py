@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from cgraph.catalog import catalog_entries
 from cgraph.cli import main
 from conftest import LATIN5
 
@@ -217,6 +218,18 @@ def test_family_without_its_parameter_exits_2(runner, name):
     result = runner.invoke(main, ["info", "--name", name])
     assert one_line_error(result) == \
         f"Error: catalog family '{name}' needs a parameter"
+
+
+@pytest.mark.parametrize("entry", catalog_entries(), ids=lambda e: e.name)
+def test_every_catalog_entry_name_loads(runner, entry):
+    # the names export-catalog lists, e.g. PSL(2,8), which no family prefix covers
+    payload = invoke_json(runner, ["info", "--name", entry.name])
+    assert payload["order"] == entry.expected_order
+
+
+def test_unknown_catalog_name_exits_2(runner):
+    result = runner.invoke(main, ["info", "--name", "PSL(2,9)"])
+    assert one_line_error(result) == "Error: unknown catalog group 'PSL(2,9)'"
 
 
 def test_catalog_entry_mismatch_exits_2(runner, monkeypatch):

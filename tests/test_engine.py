@@ -73,14 +73,41 @@ def test_genus_disconnected_sums_components():
 
 
 def test_genus_bounds_when_oracle_capped(k133):
-    # K_{1,3,3} is over the oracle's limit; its Euler and clique bounds are 0,
-    # so the lower bound comes from non-planarity
+    # K_{1,3,3} is over the oracle's limit and its Euler bound is 0, so the
+    # lower bound comes from non-planarity
     start = time.perf_counter()
     result = genus_of_graph(k133)
     assert time.perf_counter() - start < 1
     assert not result.is_exact
     assert (result.lower, result.upper) == (1, 4)
     assert result.provenance == ("BettiUpper", "NonPlanarLower")
+
+
+def test_genus_bounds_take_the_euler_bound_when_it_is_at_least_1():
+    # K7 minus two disjoint edges: 19 edges on 7 vertices, over the oracle's
+    # limit, Euler bound ceil((19 - 21 + 6) / 6) = 1
+    edges = [(u, v) for u in range(7) for v in range(u + 1, 7)
+             if (u, v) not in ((0, 1), (2, 3))]
+    result = genus_of_graph(SimpleGraph(7, edges))
+    assert (result.lower, result.upper) == (1, 6)
+    assert result.provenance == ("BettiUpper", "EulerLower")
+
+
+def test_two_sparsely_joined_cliques_get_the_euler_bound():
+    # two K8s joined by two edges: one block, 58 edges on 16 vertices, Euler
+    # bound ceil((58 - 48 + 6) / 6) = 3, although the two K8s alone give
+    # 2 * gamma(K8) = 4 by additivity; no clique search is made
+    edges = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+    edges += [(8 + u, 8 + v) for u, v in edges] + [(0, 8), (1, 9)]
+    result = genus_of_graph(SimpleGraph(16, edges))
+    assert (result.lower, result.upper) == (3, 21)
+    assert result.provenance == ("BettiUpper", "EulerLower")
+
+
+def test_s6_commuting_graph_is_bounded_by_euler_and_betti():
+    report = commuting_graph(build("S", 6))
+    assert (report.total.lower, report.total.upper) == (158, 1045)
+    assert report_to_json(report)["genus"]["certificate"] == "BettiUpper+EulerLower"
 
 
 # -- commuting graphs ------------------------------------------------------
