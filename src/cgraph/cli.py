@@ -106,8 +106,6 @@ def info(name, param, path, verbose):
 def genus(name, param, path, verbose):
     """Commuting-graph report with block decomposition and genus."""
     group, label = _load_group(name, param, path)
-    if group.is_abelian():
-        raise click.UsageError(f"{label} is abelian: its commuting graph is empty")
     report = commuting_graph(group)
     click.echo(to_json_text(report_to_json(report, name=label)), nl=False)
     if verbose:
@@ -124,8 +122,6 @@ def genus(name, param, path, verbose):
 def export_dot(name, param, path, out):
     """Write the commuting graph in DOT format."""
     group, label = _load_group(name, param, path)
-    if group.is_abelian():
-        raise click.UsageError(f"{label} is abelian: its commuting graph is empty")
     graph, _ = commuting_graph_of(group)
     _write(out, graph.to_dot(name=label))
     click.echo(to_json_text({"written": str(out), "vertices": graph.n,

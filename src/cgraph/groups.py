@@ -2,9 +2,10 @@
 
 Every group is built by one generator closure, `group_from_operation`:
 permutations, 2x2 matrices over a finite field, element models, direct
-products and quotients only supply its generators and product.  Groups are
-immutable once constructed.  Element ordering is BFS from the identity over
-the generators in the order given, which keeps labels deterministic.
+products and quotients only supply its generators and product, so its tables
+are group tables by construction; only a table read from a file is checked.
+Groups are immutable once constructed.  Element ordering is BFS from the
+identity over the generators in the order given, which keeps labels deterministic.
 """
 
 from __future__ import annotations
@@ -27,36 +28,16 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     `table[i][j]` is the index of the product of elements i and j; index 0 is
-    the identity.  Labels are purely cosmetic.
+    the identity.  Labels are purely cosmetic.  The table is taken as given:
+    one from outside the closure is checked first, by `group_from_table`.
     """
 
     def __init__(self, table, labels=None, name=None):
-        n = len(table)
-        self.order = n
+        self.order = n = len(table)
         self.table = [tuple(row) for row in table]
         self.name = name
-        full = set(range(n))
-        for i, row in enumerate(self.table):
-            if len(row) != n:
-                raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-            if set(row) != full:
-                raise ValueError(f"row {i} is not a permutation of 0..{n - 1}")
-        for j, col in enumerate(zip(*self.table)):
-            if set(col) != full:
-                raise ValueError(f"column {j} is not a permutation of 0..{n - 1}")
-        ident = tuple(range(n))
-        identity = next(
-            (e for e, row in enumerate(self.table)
-             if row == ident and tuple(r[e] for r in self.table) == ident),
-            None)
-        if identity is None:
-            raise ValueError("table has no identity element")
-        if identity != 0:
-            raise ValueError("identity must be at index 0")
-        self.inverse = [row.index(0) for row in self.table]
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
-        if len(self.labels) != n:
-            raise ValueError("label count does not match group order")
+        self.inverse = [row.index(0) for row in self.table]
 
     # -- basic arithmetic -------------------------------------------------
 
@@ -252,6 +233,8 @@ def group_from_operation(generators, op, identity, label=str, name=None) -> Fini
 
     Only the n*|S| products x*s use `op`.  Each b but the identity is
     parent(b)*s, so the table is filled by lookup, a*b = right[s][a*parent(b)].
+    So `op` must be a group operation on what the generators produce, with
+    `identity` its identity; nothing checks that.
     """
     gens = list(generators)
     index = {identity: 0}
@@ -305,22 +288,6 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, name=None) -> FiniteGroup:
         lambda x: f"({a.labels[x[0]]},{b.labels[x[1]]})", name)
 
 
-def _check_associative(group: FiniteGroup) -> FiniteGroup:
-    """Light's test: (x*s)*y == x*(s*y) for all x, y and s in a generating set.
-
-    That suffices because the s passing it are closed under the product.  The
-    generating set is picked greedily, so the test costs O(n^2 |S|).
-    """
-    t, n = group.table, group.order
-    for s in group.generators():
-        for x in range(n):
-            for y in range(n):
-                if t[t[x][s]][y] != t[x][t[s][y]]:
-                    raise ValueError(f"table is not associative: "
-                                     f"({x}*{s})*{y} != {x}*({s}*{y})")
-    return group
-
-
 # -- text format -----------------------------------------------------------
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -346,6 +313,37 @@ def parse_cycles(text: str, m: int):
     return tuple(perm)
 
 
+def group_from_table(rows) -> FiniteGroup:
+    """The group with table `rows`, checked as n rows of n indices forming a
+    Latin square with its identity at index 0, then by Light's test: (x*s)*y
+    == x*(s*y) for all x, y and s in a greedy generating set, O(n^2 |S|),
+    which suffices because the s passing it are closed under the product.
+    Tables from outside the closure come in here, not through `FiniteGroup`."""
+    n = len(rows)
+    full = set(range(n))
+    for kind, lines in (("row", rows), ("column", zip(*rows))):
+        for i, line in enumerate(lines):
+            if len(line) != n:
+                raise ValueError(f"{kind} {i} has length {len(line)}, expected {n}")
+            if set(line) != full:
+                raise ValueError(f"{kind} {i} is not a permutation of 0..{n - 1}")
+    group = FiniteGroup(rows)  # a Latin square: each row has the 0 `inverse` looks up
+    t, ident = group.table, tuple(range(n))
+    identity = next((e for e, row in enumerate(t)
+                     if row == ident and tuple(r[e] for r in t) == ident), None)
+    if identity is None:
+        raise ValueError("table has no identity element")
+    if identity != 0:
+        raise ValueError("identity must be at index 0")
+    for s in group.generators():
+        for x in range(n):
+            for y in range(n):
+                if t[t[x][s]][y] != t[x][t[s][y]]:
+                    raise ValueError(f"table is not associative: "
+                                     f"({x}*{s})*{y} != {x}*({s}*{y})")
+    return group
+
+
 def group_from_file_text(text: str) -> FiniteGroup:
     """Parse the plain-text group format.
 
@@ -362,13 +360,17 @@ def group_from_file_text(text: str) -> FiniteGroup:
     def fail(lineno, msg):
         raise ValueError(f"line {lineno}: {msg}")
 
+    def bounded(lineno, token, what):  # length first: int() refuses 4300+ digits
+        digits = token.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_ORDER)) or int(digits) > MAX_ORDER:
+            fail(lineno, f"{what} {digits} exceeds the limit of {MAX_ORDER}")
+        return int(digits)
+
     lineno, header = rows[0]
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "order" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "order" or not re.fullmatch("[0-9]+", parts[1]):
         fail(lineno, f"expected 'order n', got {header!r}")
-    n = int(parts[1])
-    if n > MAX_ORDER:
-        fail(lineno, f"group order {n} exceeds the limit of {MAX_ORDER}")
+    n = bounded(lineno, parts[1], "group order")
     if len(rows) < 2:
         fail(lineno, "missing 'table' or 'perm-generators' section")
     lineno, mode = rows[1]
@@ -387,13 +389,13 @@ def group_from_file_text(text: str) -> FiniteGroup:
                 fail(rowno, f"expected {n} entries, got {len(row)}")
             table.append(row)
         try:
-            return _check_associative(FiniteGroup(table))
+            return group_from_table(table)
         except ValueError as exc:
             fail(lineno, str(exc))
     elif mparts[0] == "perm-generators":
-        if len(mparts) != 2 or not mparts[1].isdigit():
+        if len(mparts) != 2 or not re.fullmatch("[0-9]+", mparts[1]):
             fail(lineno, f"expected 'perm-generators m', got {mode!r}")
-        m = int(mparts[1])
+        m = bounded(lineno, mparts[1], "permutation degree")
         gens = []
         for rowno, line in rows[2:]:
             try:

@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from cgraph.catalog import catalog_entries
 from cgraph.cli import main
+from cgraph.groups import MAX_ORDER
 from conftest import LATIN5
 
 
@@ -79,9 +80,15 @@ def test_genus_report_d16(runner):
     assert payload["bounds"]["h"] == 7
 
 
-def test_genus_rejects_abelian_group(runner):
+def test_genus_rejects_abelian_group(runner, tmp_path):
+    message = "Error: commuting graph requires a non-abelian group"
     result = runner.invoke(main, ["genus", "--name", "Z", "--param", "6"])
-    assert result.exit_code == 2
+    assert one_line_error(result) == message
+    out = tmp_path / "z6.dot"
+    result = runner.invoke(main, ["export-dot", "--name", "Z", "--param", "6",
+                                  "--out", str(out)])
+    assert one_line_error(result) == message
+    assert not out.exists()
 
 
 def test_genus_is_deterministic(runner):
@@ -180,8 +187,6 @@ def test_library_error_after_loading_exits_2(runner, monkeypatch):
 
 
 def test_group_over_max_order_exits_2(runner, tmp_path):
-    from cgraph.groups import MAX_ORDER
-
     s8 = runner.invoke(main, ["genus", "--name", "S", "--param", "8"])
     assert f"more than {MAX_ORDER} elements" in one_line_error(s8)
     path = tmp_path / "big.group"
@@ -193,6 +198,31 @@ def test_group_over_max_order_exits_2(runner, tmp_path):
     closure = runner.invoke(main, ["info", "--file", str(path)])
     assert one_line_error(closure) == \
         f"Error: line 2: more than {MAX_ORDER} elements, the order limit"
+
+
+@pytest.mark.parametrize("text, message", [
+    # a group of order n acts on its own n elements, so no group needs more
+    ("order 2\nperm-generators 10000000000\n(1 2)\n",
+     f"line 2: permutation degree 10000000000 exceeds the limit of {MAX_ORDER}"),
+    # longer than Python's 4300-digit limit on int(str)
+    (f"order {'9' * 5000}\ntable\n",
+     f"line 1: group order {'9' * 5000} exceeds the limit of {MAX_ORDER}"),
+    (f"order 2\nperm-generators {'9' * 5000}\n(1 2)\n",
+     f"line 2: permutation degree {'9' * 5000} exceeds the limit of {MAX_ORDER}"),
+    # str.isdigit accepts a superscript that int() refuses
+    ("order \u00b2\ntable\n", "line 1: expected 'order n', got 'order \u00b2'"),
+    ("order 2\nperm-generators \u00b3\n",
+     "line 2: expected 'perm-generators m', got 'perm-generators \u00b3'"),
+    # only ASCII digits: int() would read fullwidth digits as 6
+    ("order \uff10\uff16\ntable\n",
+     "line 1: expected 'order n', got 'order \uff10\uff16'"),
+], ids=["huge-degree", "order-5000-digits", "degree-5000-digits",
+        "superscript-order", "superscript-degree", "fullwidth-order"])
+def test_bad_header_number_exits_2(runner, tmp_path, text, message):
+    path = tmp_path / "huge.group"
+    path.write_text(text)
+    result = runner.invoke(main, ["info", "--file", str(path)])
+    assert one_line_error(result) == f"Error: {message}"
 
 
 @pytest.mark.parametrize("args", [

@@ -10,6 +10,7 @@ from cgraph import (
     group_from_file_text,
     group_from_operation,
     group_from_permutations,
+    group_from_table,
 )
 from cgraph.catalog import build, catalog_entries
 from cgraph.groups import MAX_ORDER, parse_cycles, perm_cycle_label
@@ -50,22 +51,56 @@ def test_closure_cap():
         group_from_permutations([(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)])
 
 
+def table_text(rows):
+    """A group file holding `rows` as its table."""
+    return f"order {len(rows)}\ntable\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in rows)
+
+
 def test_table_validation():
-    from cgraph.groups import FiniteGroup
-    with pytest.raises(ValueError, match="row 1 has length 1, expected 2"):
-        FiniteGroup([[0, 1], [1]])
-    with pytest.raises(ValueError, match="row 0 is not a permutation of 0..1"):
-        FiniteGroup([[0, 0], [1, 0]])
-    with pytest.raises(ValueError, match="column 0 is not a permutation of 0..1"):
-        FiniteGroup([[0, 1], [0, 1]])
-    with pytest.raises(ValueError, match="table has no identity element"):
-        FiniteGroup([[0, 2, 1], [2, 1, 0], [1, 0, 2]])  # x*y = -x-y mod 3
-    with pytest.raises(ValueError, match="identity must be at index 0"):
-        FiniteGroup([[1, 0], [0, 1]])
+    """`group_from_table`'s messages; a group file gets them at its table line."""
+    for rows, message, file_message in [
+        # a row of the wrong length is caught by the parser, at its own line
+        ([[0, 1], [1]], "row 1 has length 1, expected 2",
+         "line 4: expected 2 entries, got 1"),
+        # a row longer than n passes the permutation check
+        ([[0, 1], [1, 0, 1]], "row 1 has length 3, expected 2",
+         "line 4: expected 2 entries, got 3"),
+        ([[0, 0], [1, 0]], "row 0 is not a permutation of 0..1", None),
+        ([[0, 1], [0, 1]], "column 0 is not a permutation of 0..1", None),
+        ([[0, 2, 1], [2, 1, 0], [1, 0, 2]],  # x*y = -x-y mod 3
+         "table has no identity element", None),
+        ([[1, 0], [0, 1]], "identity must be at index 0", None),
+        ([], "table has no identity element", None),
+        ([[int(x) for x in row.split()] for row in LATIN5.splitlines()[2:]],
+         "table is not associative: (1*1)*2 != 1*(1*2)", None),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            group_from_table(rows)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            group_from_file_text(table_text(rows))
+        assert str(exc.value) == (file_message or f"line 2: {message}")
+
+
+@pytest.mark.parametrize("make", [
+    *(pytest.param(e.build, id=e.name) for e in catalog_entries()),
+    pytest.param(lambda: build("Q", 16).quotient(build("Q", 16).center()), id="Q16/Z"),
+    pytest.param(lambda: direct_product(build("S", 3), build("D", 8)), id="S3xD8"),
+])
+def test_closure_tables_pass_the_file_check(make):
+    """The closure's tables are group tables: the file check, Light's test
+    included, accepts each one unchanged.  A table file carries no labels."""
+    group = make()
+    checked = group_from_file_text(table_text(group.table))
+    assert checked.table == group.table
+    assert checked.inverse == group.inverse
+    assert checked.labels == [str(i) for i in range(group.order)]
 
 
 def assert_group_sane(g, exhaustive_limit=48):
-    """Latin square is enforced at construction; spot-check associativity."""
+    """Spot-check associativity and inverses of a closure-built table, which
+    no constructor checks."""
     n = g.order
     if n <= exhaustive_limit:
         triples = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
@@ -300,6 +335,13 @@ def test_closure_table_matches_plain_composition(gens):
              for a in elements]
     assert group.table == table
     assert group.labels == [perm_cycle_label(p) for p in elements]
+
+
+@settings(max_examples=40, deadline=None)
+@given(permutation_generators(max_degree=5))
+def test_random_closure_table_passes_the_file_check(gens):
+    group = group_from_permutations(gens)
+    assert group_from_file_text(table_text(group.table)).table == group.table
 
 
 @settings(max_examples=25, deadline=None)
