@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .engine import commuting_graph
 from .fields import FIELDS, FieldContext, Mat2
-from .groups import FiniteGroup, direct_product, group_from_operation, group_from_permutations, group_from_matrices
+from .groups import MAX_ORDER, FiniteGroup, direct_product, group_from_operation, group_from_permutations, group_from_matrices
 
 CLASSIFICATION_TAGS = ("acyclic-list", "planar-list", "toroidal-list",
                        "counterexample", "counterexample-candidate")
@@ -216,7 +216,7 @@ def build(name: str, param: int | None = None) -> FiniteGroup:
     """Build a catalog group by name, e.g. build("D", 14), build("D14"),
     build("Sz(2)") or build("PSL(2,8)"): every catalog entry name loads, the
     names `export-catalog` lists.  A parametric build must have its family's
-    order."""
+    order, and one whose order formula passes MAX_ORDER is refused unbuilt."""
     if param is None:
         if name in _SIMPLE_BUILDERS:
             return _SIMPLE_BUILDERS[name]()
@@ -234,6 +234,12 @@ def build(name: str, param: int | None = None) -> FiniteGroup:
     if name not in _PARAMETRIC_BUILDERS:
         raise ValueError(f"unknown parametric family {name!r}")
     builder, order = _PARAMETRIC_BUILDERS[name]
+    # refused before the builder allocates degree-`param` generators.  Past
+    # MAX_ORDER every family's order is at least its param, so no formula (n!
+    # of a huge n) is evaluated there
+    if param > MAX_ORDER or (param >= 1 and order(param) > MAX_ORDER):
+        raise ValueError(f"{name} {param} would have more than {MAX_ORDER} elements, "
+                         "the order limit")
     group = builder(param)
     if group.order != order(param):
         raise ValueError(f"{name} {param} built a group of order {group.order}, "

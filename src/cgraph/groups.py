@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 import re
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import compress
 
 from .fields import FieldContext, Mat2
@@ -65,40 +65,44 @@ class FiniteGroup:
 
     @cached_property
     def _centralizers(self):
-        """Row x is an int whose bit y is set iff xy = yx."""
-        return [sum(1 << y for y in compress(range(self.order), map(operator.eq, row, col)))
+        """Row x is C(x), the ascending tuple of the y with xy = yx."""
+        ids = list(range(self.order))  # one int object per index, shared by the rows
+        return [tuple(compress(ids, map(operator.eq, row, col)))
                 for row, col in zip(self.table, zip(*self.table))]
 
-    @cached_property
-    def _center_bits(self):
-        return reduce(operator.and_, self._centralizers)
-
     def centralizer(self, x: int) -> tuple:
-        return _indices(self._centralizers[x])
+        return self._centralizers[x]
 
     def center(self) -> tuple:
-        return _indices(self._center_bits)
+        """The x whose centralizer is the whole group."""
+        return tuple(x for x, c in enumerate(self._centralizers) if len(c) == self.order)
 
     def is_abelian(self) -> bool:
         return len(self.center()) == self.order
 
     def _distinct_centralizers(self) -> set:
-        """The distinct centralizers C(x) of non-central x, as bitsets."""
-        z = self._center_bits
-        return {c for x, c in enumerate(self._centralizers) if not z >> x & 1}
+        """The distinct centralizers C(x) of non-central x."""
+        return {c for c in self._centralizers if len(c) < self.order}
 
     def is_ac_group(self) -> bool:
-        """True iff every centralizer of a non-central element is abelian."""
-        rows = self._centralizers
-        return all(not c & ~rows[y]
-                   for c in self._distinct_centralizers() for y in _indices(c))
+        """True iff every centralizer of a non-central element is abelian.
+
+        That holds iff C(y) == C(x) for every non-central x and every
+        non-central y in C(x).  If C(x) and C(y) are abelian, y in C(x) gives
+        C(x) <= C(y) and x in C(y) gives C(y) <= C(x); conversely, if C(a) ==
+        C(x) for every non-central a in C(x), any a, b in C(x) commute.
+        """
+        rows, n = self._centralizers, self.order
+        return all(rows[y] == c or len(rows[y]) == n
+                   for c in self._distinct_centralizers() for y in c)
 
     def centralizer_family(self) -> tuple:
         """Deduplicated sorted tuples C(u) \\ Z over all non-central u, sorted."""
         if self.is_abelian():
             raise ValueError("centralizer family requires a non-abelian group")
-        z = self._center_bits
-        return tuple(sorted(_indices(c & ~z) for c in self._distinct_centralizers()))
+        z = set(self.center())
+        return tuple(sorted(tuple(y for y in c if y not in z)
+                            for c in self._distinct_centralizers()))
 
     # -- subgroup machinery ----------------------------------------------
 
@@ -135,9 +139,7 @@ class FiniteGroup:
                 work.append(h)
         while work:
             h = work.pop()
-            for z in _indices(reduce(operator.and_, (cent[x] for x in h))):
-                if z in h:
-                    continue
+            for z in sorted(set(range(self.order)).intersection(*(cent[x] for x in h)) - h):
                 ext = self.subgroup_closure(h | {z})
                 if ext not in found:
                     found.add(ext)
@@ -180,11 +182,11 @@ class FiniteGroup:
         """Maximum element order in G/Z(G): the largest least k >= 1 with x^k in Z."""
         if self.is_abelian():
             raise ValueError("quotient exponent requires a non-abelian group")
-        z = self._center_bits
+        z = set(self.center())
 
         def order_mod_center(x):
             k, acc = 1, x
-            while not z >> acc & 1:
+            while acc not in z:
                 acc = self.table[acc][x]
                 k += 1
             return k
@@ -193,11 +195,6 @@ class FiniteGroup:
     def __repr__(self):
         name = self.name or "FiniteGroup"
         return f"<{name} of order {self.order}>"
-
-
-def _indices(bits: int) -> tuple:
-    """The positions of the set bits, ascending."""
-    return tuple(i for i, c in enumerate(bin(bits)[:1:-1]) if c == "1")
 
 
 # -- constructions ---------------------------------------------------------
@@ -396,14 +393,15 @@ def group_from_file_text(text: str) -> FiniteGroup:
         if len(mparts) != 2 or not re.fullmatch("[0-9]+", mparts[1]):
             fail(lineno, f"expected 'perm-generators m', got {mode!r}")
         m = bounded(lineno, mparts[1], "permutation degree")
-        gens = []
+        gens = {}  # line -> generator, first occurrences in order
         for rowno, line in rows[2:]:
-            try:
-                gens.append(parse_cycles(line, m))
-            except ValueError as exc:
-                fail(rowno, str(exc))
+            if line not in gens:  # a repeated generator never adds an element
+                try:
+                    gens[line] = parse_cycles(line, m)
+                except ValueError as exc:
+                    fail(rowno, str(exc))
         try:
-            group = group_from_permutations(gens)
+            group = group_from_permutations(gens.values())
         except ValueError as exc:  # the generators close past MAX_ORDER
             fail(lineno, str(exc))
         if group.order != n:

@@ -67,12 +67,7 @@ def _s5_witness_check():
     vertex = {e: v for v, e in enumerate(report.vertex_elements)}
 
     def cyclic_vertices(label):
-        x = element[label]
-        powers, acc = [], x
-        while acc != 0:
-            powers.append(vertex[acc])
-            acc = group.mul(acc, x)
-        return powers
+        return [vertex[e] for e in group.subgroup_closure([element[label]]) - {0}]
 
     first = cyclic_vertices("(1 2)(3 4 5)")
     second = cyclic_vertices("(1 2 3)(4 5)")

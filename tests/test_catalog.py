@@ -14,6 +14,7 @@ from cgraph.catalog import (
     report_for,
 )
 from cgraph.fields import FIELDS
+from cgraph.groups import MAX_ORDER
 
 
 def test_build_simple_and_parametric():
@@ -55,6 +56,26 @@ def test_prefix_build_checks_the_order_formula(monkeypatch):
     monkeypatch.setitem(catalog._PARAMETRIC_BUILDERS, "D", (builder, lambda n: n + 1))
     with pytest.raises(ValueError, match="order formula"):
         catalog.build.__wrapped__("D14")
+
+
+@pytest.mark.parametrize("name, param, refused", [
+    ("Z", 3000000, True), ("D", 20000, True), ("S", 100000, True),
+    ("S", 8, True), ("GL2", 11, True),
+    ("Z", MAX_ORDER, False), ("S", 7, False), ("GL2", 9, False),
+])
+def test_order_formula_past_the_limit_is_refused_before_the_builder(
+        monkeypatch, name, param, refused):
+    from cgraph import catalog
+
+    def builder(n):
+        raise LookupError("the builder ran")
+    order = catalog._PARAMETRIC_BUILDERS[name][1]
+    monkeypatch.setitem(catalog._PARAMETRIC_BUILDERS, name, (builder, order))
+    with pytest.raises(ValueError if refused else LookupError) as exc:
+        catalog.build.__wrapped__(name, param)
+    if refused:
+        assert str(exc.value) == (f"{name} {param} would have more than "
+                                  f"{MAX_ORDER} elements, the order limit")
 
 
 @pytest.mark.parametrize("q", sorted(FIELDS))

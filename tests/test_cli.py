@@ -225,6 +225,13 @@ def test_bad_header_number_exits_2(runner, tmp_path, text, message):
     assert one_line_error(result) == f"Error: {message}"
 
 
+@pytest.mark.parametrize("name, param", [("Z", 3000000), ("D", 20000), ("S", 100000)])
+def test_parametric_build_past_max_order_exits_2(runner, name, param):
+    result = runner.invoke(main, ["info", "--name", name, "--param", str(param)])
+    assert one_line_error(result) == (f"Error: {name} {param} would have more than "
+                                      f"{MAX_ORDER} elements, the order limit")
+
+
 @pytest.mark.parametrize("args", [
     ["info", "--name", "PSL2", "--param", "9"],
     ["info", "--name", "Z", "--param", "0"],

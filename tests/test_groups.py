@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -281,6 +282,20 @@ def test_group_file_perm_generators():
     g = group_from_file_text(text)
     assert g.order == 6
     assert not g.is_abelian()
+
+
+def test_repeated_generator_lines_are_parsed_once():
+    header = f"order 2\nperm-generators {MAX_ORDER}\n"
+    once = group_from_file_text(header + "(1 2)\n")
+    tracemalloc.start()
+    try:
+        repeated = group_from_file_text(header + "(1 2)\n" * 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert repeated.order == 2
+    assert repeated.table == once.table
+    assert peak < 50 * 2**20  # 2000 parsed degree-6000 tuples would take about 440 MiB
 
 
 def test_group_file_errors_report_line_numbers():
