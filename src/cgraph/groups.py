@@ -125,21 +125,17 @@ class FiniteGroup:
     def abelian_subgroups(self):
         """All abelian subgroups, by iterative centralizing extension.
 
-        Seeded with the cyclic subgroups; each abelian subgroup H is extended
-        by elements of C(H) \\ H and re-closed.  Elementary abelian subgroups
-        needing 3+ generators are reached this way.
+        Seeded with the trivial subgroup; each abelian subgroup H is extended
+        by every element of C(H) \\ H and re-closed, so the cyclic subgroups
+        are the extensions of {0}, and every abelian subgroup is reached
+        through a chain of its own generators.
         """
         cent = self._centralizers
-        found = set()
-        work = []
-        for x in range(self.order):
-            h = self.subgroup_closure([x])
-            if h not in found:
-                found.add(h)
-                work.append(h)
+        found = {frozenset({0})}
+        work = list(found)
         while work:
             h = work.pop()
-            for z in sorted(set(range(self.order)).intersection(*(cent[x] for x in h)) - h):
+            for z in set(range(self.order)).intersection(*(cent[x] for x in h)) - h:
                 ext = self.subgroup_closure(h | {z})
                 if ext not in found:
                     found.add(ext)
@@ -290,23 +286,32 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, name=None) -> FiniteGroup:
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_cycles(text: str, m: int):
-    """Parse disjoint-cycle notation like ``(1 2)(3 4)`` into a permutation."""
+def _cycle_moves(text: str, m: int) -> frozenset:
+    """The (point, image) pairs, 0-based, of the points that a line of
+    disjoint cycles like ``(1 2)(3 4)`` moves; a point in two cycles is refused."""
     normalized = text.replace(",", " ")
     if _CYCLE_RE.sub("", normalized).strip():
         raise ValueError(f"malformed cycle notation: {text!r}")
-    perm = list(range(m))
+    images = {}
     for body in _CYCLE_RE.findall(normalized):
         try:
             points = [int(tok) - 1 for tok in body.split()]
         except ValueError:
             raise ValueError(f"non-integer point in cycle ({body})") from None
-        if not points:
-            continue
         if any(not 0 <= pt < m for pt in points) or len(set(points)) != len(points):
             raise ValueError(f"bad cycle ({body}) for degree {m}")
-        for i, pt in enumerate(points):
-            perm[pt] = points[(i + 1) % len(points)]
+        for pt, image in zip(points, points[1:] + points[:1]):
+            if pt in images:
+                raise ValueError(f"point {pt + 1} is in two cycles of {text!r}")
+            images[pt] = image
+    return frozenset((pt, image) for pt, image in images.items() if pt != image)
+
+
+def parse_cycles(text: str, m: int):
+    """Parse disjoint-cycle notation like ``(1 2)(3 4)`` into a permutation."""
+    perm = list(range(m))
+    for pt, image in _cycle_moves(text, m):
+        perm[pt] = image
     return tuple(perm)
 
 
@@ -393,15 +398,15 @@ def group_from_file_text(text: str) -> FiniteGroup:
         if len(mparts) != 2 or not re.fullmatch("[0-9]+", mparts[1]):
             fail(lineno, f"expected 'perm-generators m', got {mode!r}")
         m = bounded(lineno, mparts[1], "permutation degree")
-        gens = {}  # line -> generator, first occurrences in order
+        gens = {}  # moved points -> line, first occurrences in order
         for rowno, line in rows[2:]:
-            if line not in gens:  # a repeated generator never adds an element
-                try:
-                    gens[line] = parse_cycles(line, m)
-                except ValueError as exc:
-                    fail(rowno, str(exc))
+            try:  # a repeated generator never adds an element
+                gens.setdefault(_cycle_moves(line, m), line)
+            except ValueError as exc:
+                fail(rowno, str(exc))
         try:
-            group = group_from_permutations(gens.values())
+            group = group_from_permutations(
+                parse_cycles(line, m) for line in gens.values())
         except ValueError as exc:  # the generators close past MAX_ORDER
             fail(lineno, str(exc))
         if group.order != n:

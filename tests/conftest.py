@@ -1,12 +1,20 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import strategies as st
 
 from cgraph import SimpleGraph
 
 # a reduced Latin square of order 5 that is not a group table
 LATIN5 = ("order 5\ntable\n0 1 2 3 4\n1 0 3 4 2\n2 3 4 0 1\n"
           "3 4 1 2 0\n4 2 0 1 3\n")
+
+
+@st.composite
+def permutation_generators(draw, max_degree=6):
+    degree = draw(st.integers(1, max_degree))
+    perm = st.permutations(range(degree)).map(tuple)
+    return draw(st.lists(perm, max_size=3))
 
 
 def complete_graph(n):

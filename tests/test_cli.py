@@ -225,6 +225,15 @@ def test_bad_header_number_exits_2(runner, tmp_path, text, message):
     assert one_line_error(result) == f"Error: {message}"
 
 
+@pytest.mark.parametrize("line, point", [("(1 2 3)(3 2 1)", 3), ("(1 2)(1 3)", 1)])
+def test_non_disjoint_cycles_exit_2_at_their_line(runner, tmp_path, line, point):
+    path = tmp_path / "overlap.group"
+    path.write_text(f"order 3\nperm-generators 3\n{line}\n")
+    result = runner.invoke(main, ["info", "--file", str(path)])
+    assert one_line_error(result) == \
+        f"Error: line 3: point {point} is in two cycles of {line!r}"
+
+
 @pytest.mark.parametrize("name, param", [("Z", 3000000), ("D", 20000), ("S", 100000)])
 def test_parametric_build_past_max_order_exits_2(runner, name, param):
     result = runner.invoke(main, ["info", "--name", name, "--param", str(param)])

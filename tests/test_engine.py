@@ -3,7 +3,7 @@ import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cgraph import (
     check_bounds_against_group,
@@ -12,13 +12,14 @@ from cgraph import (
     family_genus,
     genus_complete,
     genus_of_graph,
+    group_from_permutations,
     heawood_bounds,
     heawood_clique_bound,
     max_clique,
     report_to_json,
 )
 from cgraph.catalog import build, catalog_entries, report_for
-from conftest import complete_bipartite_graph
+from conftest import complete_bipartite_graph, permutation_generators
 
 from cgraph import SimpleGraph
 
@@ -273,6 +274,50 @@ def test_max_commuting_set_is_the_maximum_clique():
         check = check_bounds_against_group(report)[0]
         assert check["check"] == "max_commuting_set"
         assert check["observed"] == len(max_clique(report.graph)), entry.name
+
+
+def assert_bound_rows_match_brute_force(report):
+    """Checks the max_commuting_set and abelian_subgroups rows for g = 0, 1, 2
+    against every abelian subgroup; returns the g whose rows fail."""
+    group = report.group
+    center = set(group.center())
+    subs = group.abelian_subgroups()
+    d = max(len(a) - len(a & center) for a in subs)
+    maximisers = [a for a in subs if len(a) - len(a & center) == d]
+    assert all(center <= a for a in maximisers)
+    failing = set()
+    for g in (0, 1, 2):
+        bounds = heawood_bounds(g, group.quotient_exponent())
+        h = bounds.h
+        commuting, _, abelian, _ = check_bounds_against_group(
+            replace(report, heawood=bounds))
+        assert (commuting["observed"], commuting["ok"]) == (d, d <= h)
+        # any maximiser, whichever a walk over the subgroups meets first
+        assert {(len(a), h + len(a & center)) for a in maximisers} == \
+            {(abelian["observed"], abelian["limit"])}
+        assert abelian["ok"] == all(len(a) <= h + len(a & center) for a in subs)
+        if not abelian["ok"]:
+            failing.add(g)
+    return failing
+
+
+def test_bound_rows_match_brute_force_over_abelian_subgroups():
+    failing = {}
+    for entry in catalog_entries():
+        report = report_for(entry.name)
+        if report.total.is_exact:
+            failing[entry.name] = assert_bound_rows_match_brute_force(report)
+    assert len(failing) == 44
+    assert 0 in failing["D16"]  # d = 6 > h(0) = 4
+    assert any(2 in gs for gs in failing.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(permutation_generators(max_degree=5))
+def test_bound_rows_match_brute_force_on_random_groups(gens):
+    group = group_from_permutations(gens)
+    assume(not group.is_abelian())
+    assert_bound_rows_match_brute_force(commuting_graph(group))
 
 
 def test_report_carries_the_heawood_bounds_of_an_exact_genus():

@@ -4,7 +4,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from cgraph import (
     direct_product,
@@ -15,7 +15,7 @@ from cgraph import (
 )
 from cgraph.catalog import build, catalog_entries
 from cgraph.groups import MAX_ORDER, parse_cycles, perm_cycle_label
-from conftest import LATIN5
+from conftest import LATIN5, permutation_generators
 
 
 def s3():
@@ -267,6 +267,13 @@ def test_parse_cycles():
         parse_cycles("(1 5)", 4)
     with pytest.raises(ValueError):
         parse_cycles("1 2", 4)
+    # a point in two cycles of one line is refused, not read as the last cycle
+    with pytest.raises(ValueError, match="point 3 is in two cycles"):
+        parse_cycles("(1 2 3)(3 2 1)", 3)
+    with pytest.raises(ValueError, match="point 1 is in two cycles"):
+        parse_cycles("(1 2)(1 3)", 3)
+    with pytest.raises(ValueError, match="point 2 is in two cycles"):
+        parse_cycles("(1 2)(2)", 3)
 
 
 def test_group_file_table_roundtrip():
@@ -287,15 +294,18 @@ def test_group_file_perm_generators():
 def test_repeated_generator_lines_are_parsed_once():
     header = f"order 2\nperm-generators {MAX_ORDER}\n"
     once = group_from_file_text(header + "(1 2)\n")
-    tracemalloc.start()
-    try:
-        repeated = group_from_file_text(header + "(1 2)\n" * 2000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert repeated.order == 2
-    assert repeated.table == once.table
-    assert peak < 50 * 2**20  # 2000 parsed degree-6000 tuples would take about 440 MiB
+    # one line 2000 times, and 502 spellings of the same permutation
+    spellings = "".join(f"(1{' ' * k}2)\n" for k in range(1, 501)) + "(2 1)\n(1,2)\n"
+    for body in ("(1 2)\n" * 2000, spellings):
+        tracemalloc.start()
+        try:
+            repeated = group_from_file_text(header + body)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert repeated.order == 2
+        assert repeated.table == once.table
+        assert peak < 50 * 2**20  # a parsed degree-6000 tuple takes about 220 KiB
 
 
 def test_group_file_errors_report_line_numbers():
@@ -324,13 +334,6 @@ def test_dicyclic_relations(n):
     assert g.element_order(y) == 2 * n
     assert g.mul(x, x) == element[f"y^{n}"]
     assert g.conjugate(x, y) == g.inv(y)
-
-
-@st.composite
-def permutation_generators(draw, max_degree=6):
-    degree = draw(st.integers(1, max_degree))
-    perm = st.permutations(range(degree)).map(tuple)
-    return draw(st.lists(perm, max_size=3))
 
 
 @settings(max_examples=40, deadline=None)
