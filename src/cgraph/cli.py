@@ -112,8 +112,8 @@ def genus(name, param, path, verbose):
         total = report.total
         desc = (f"genus {total.value}" if total.is_exact
                 else f"genus in [{total.lower}, {total.upper}]")
-        click.echo(f"{label}: {report.graph.n} vertices, "
-                   f"{report.graph.edge_count} edges, {desc}", err=True)
+        click.echo(f"{label}: {len(report.vertex_elements)} vertices, "
+                   f"{report.edge_count} edges, {desc}", err=True)
 
 
 @main.command("export-dot")

@@ -2,7 +2,8 @@
 
 Builds the commuting graph of a finite non-abelian group, resolves genus
 through block decomposition with formula / planarity / oracle dispatch, and
-implements the closed-form family formulas and the Heawood-style bounds.
+implements the closed-form family formulas and the Heawood-style bounds.  An
+AC-group's report is read from its centralizer family, without a graph.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import (
     GenusResult,
@@ -75,8 +77,8 @@ class CommutingGraphReport:
     """Everything the genus engine derives from one group."""
 
     group: FiniteGroup
-    graph: SimpleGraph
     vertex_elements: tuple   # vertex index -> group element index
+    edge_count: int
     girth: float
     blocks: tuple            # vertex tuples of the commuting graph
     block_shapes: tuple      # "K{n}", "K{m},{n}" or "other" per block
@@ -85,14 +87,24 @@ class CommutingGraphReport:
     is_ac: bool
     heawood: HeawoodBounds | None   # the bounds of an exact genus
 
+    @cached_property
+    def graph(self) -> SimpleGraph:
+        """The commuting graph, built on first access."""
+        return commuting_graph_of(self.group)[0]
+
+
+def _vertices(group: FiniteGroup) -> tuple:
+    """G \\ Z(G) in ascending order: the commuting graph's vertices."""
+    if group.is_abelian():
+        raise ValueError("commuting graph requires a non-abelian group")
+    center = set(group.center())
+    return tuple(x for x in range(group.order) if x not in center)
+
 
 def commuting_graph_of(group: FiniteGroup) -> tuple[SimpleGraph, tuple]:
     """The graph on G \\ Z(G) with edges between distinct commuting elements,
     and the group element index of each vertex."""
-    if group.is_abelian():
-        raise ValueError("commuting graph requires a non-abelian group")
-    center = set(group.center())
-    vertices = tuple(x for x in range(group.order) if x not in center)
+    vertices = _vertices(group)
     pos = {x: i for i, x in enumerate(vertices)}
     edges = [(pos[x], pos[y])
              for x in vertices for y in group.centralizer(x) if y > x and y in pos]
@@ -100,21 +112,52 @@ def commuting_graph_of(group: FiniteGroup) -> tuple[SimpleGraph, tuple]:
     return SimpleGraph(len(vertices), edges, labels), vertices
 
 
+def _family_blocks(family, vertices):
+    """(edge count, girth, blocks, shapes, results, total) of an AC-group,
+    read from its centralizer family X = C(x) \\ Z(G).
+
+    The members partition G \\ Z(G), and each is a clique whose elements
+    commute with nothing outside it and Z(G): x in X = C(x) \\ Z and y in C(x)
+    put y in X or Z.  So the commuting graph is the disjoint union of the
+    K_|X|, whose blocks are the members with |X| >= 2 (the rest are isolated
+    vertices), and its girth is 3 if some |X| >= 3, else infinite."""
+    pos = {x: i for i, x in enumerate(vertices)}
+    members = [m for m in family if len(m) >= 2]
+    # pos is increasing, so the sorted family maps to sorted blocks
+    blocks = tuple(tuple(map(pos.__getitem__, m)) for m in members)
+    results = tuple(GenusResult.exact(genus_complete(len(m)), "CompleteFormula")
+                    for m in members)
+    total = GenusResult.exact(sum(r.value for r in results), "BlockSum")
+    edges = sum(len(m) * (len(m) - 1) // 2 for m in members)
+    girth = 3 if any(len(m) >= 3 for m in members) else math.inf
+    return (edges, girth, blocks, tuple(f"K{len(m)}" for m in members),
+            results, total)
+
+
 def commuting_graph(group: FiniteGroup) -> CommutingGraphReport:
-    graph, vertices = commuting_graph_of(group)
-    blocks, shapes, block_results, total = _block_sum(graph)
+    """The report of a non-abelian group: an AC-group's is read from its
+    centralizer family, any other's from the blocks of its commuting graph."""
+    vertices = _vertices(group)
+    is_ac = group.is_ac_group()
+    if is_ac:
+        edges, girth, blocks, shapes, block_results, total = \
+            _family_blocks(group.centralizer_family(), vertices)
+    else:
+        graph, _ = commuting_graph_of(group)
+        edges, girth = graph.edge_count, graph.girth()
+        blocks, shapes, block_results, total = _block_sum(graph)
     heawood = (heawood_bounds(total.value, group.quotient_exponent())
                if total.is_exact else None)
     return CommutingGraphReport(
         group=group,
-        graph=graph,
         vertex_elements=vertices,
-        girth=graph.girth(),
+        edge_count=edges,
+        girth=girth,
         blocks=blocks,
         block_shapes=shapes,
         block_results=block_results,
         total=total,
-        is_ac=group.is_ac_group(),
+        is_ac=is_ac,
         heawood=heawood,
     )
 
@@ -290,8 +333,8 @@ def report_to_json(report: CommutingGraphReport, name=None) -> dict:
             "is_ac": report.is_ac,
         },
         "graph": {
-            "vertices": report.graph.n,
-            "edges": report.graph.edge_count,
+            "vertices": len(report.vertex_elements),
+            "edges": report.edge_count,
             "girth": None if report.girth == math.inf else int(report.girth),
         },
         "blocks": blocks,

@@ -4,7 +4,9 @@ Covers blocks, girth, complete / complete-bipartite recognition,
 planarity, the closed-form genus formulas for K_n and K_{m,n}, Euler/Betti
 genus bounds, and a brute-force exact genus oracle over rotation systems.
 A graph is held as one networkx graph, which supplies components, blocks,
-bipartite tests, maximum cliques, girth and planarity.
+bipartite tests, maximum cliques, girth and planarity.  networkx is imported
+inside the functions that call it: it takes most of the package's import
+time, and a report on an AC-group builds no graph.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
-
-import networkx as nx
 
 # The most rotation systems, prod over vertices of (deg - 1)!, that the oracle
 # enumerates.  A system costs 8-9 us on 7- and 8-vertex blocks and 12-16 us on
@@ -26,6 +26,7 @@ class SimpleGraph:
     """An undirected simple graph on vertices 0..n-1, held as one networkx graph."""
 
     def __init__(self, n, edges=(), labels=None):
+        import networkx as nx
         self.n = n
         edges = list(edges)
         for u, v in edges:
@@ -73,13 +74,16 @@ class SimpleGraph:
     # -- connectivity -----------------------------------------------------
 
     def connected_components(self):
+        import networkx as nx
         return sorted(sorted(c) for c in nx.connected_components(self.nx_graph))
 
     def is_connected(self):
+        import networkx as nx
         return self.n <= 1 or nx.is_connected(self.nx_graph)
 
     def blocks(self) -> tuple:
         """Sorted vertex tuples of the biconnected components (bridges included)."""
+        import networkx as nx
         return tuple(sorted(tuple(sorted(b))
                             for b in nx.biconnected_components(self.nx_graph)))
 
@@ -87,6 +91,7 @@ class SimpleGraph:
 
     def girth(self):
         """Length of a shortest cycle, or math.inf when acyclic."""
+        import networkx as nx
         return nx.girth(self.nx_graph)
 
     # -- recognition ------------------------------------------------------
@@ -99,6 +104,7 @@ class SimpleGraph:
 
     def recognize_complete_bipartite(self):
         """(m, n) with m <= n if the graph is K_{m,n} with m, n >= 1, else None."""
+        import networkx as nx
         if self.edge_count == 0 or not nx.is_bipartite(self.nx_graph):
             return None
         # E = m * n makes every pair across the colour classes an edge
@@ -107,6 +113,7 @@ class SimpleGraph:
         return (m, n) if self.edge_count == m * n else None
 
     def is_planar(self) -> bool:
+        import networkx as nx
         return nx.is_planar(self.nx_graph)
 
     # -- serialization ----------------------------------------------------
@@ -203,6 +210,7 @@ def disjoint_clique_lower_bound(g: SimpleGraph, clique_a, clique_b) -> int:
 
 def max_clique(g: SimpleGraph):
     """An exact maximum clique, as a sorted vertex list."""
+    import networkx as nx
     return sorted(nx.max_weight_clique(g.nx_graph, weight=None)[0])
 
 

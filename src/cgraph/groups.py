@@ -126,17 +126,18 @@ class FiniteGroup:
         """All abelian subgroups, by iterative centralizing extension.
 
         Seeded with the trivial subgroup; each abelian subgroup H is extended
-        by every element of C(H) \\ H and re-closed, so the cyclic subgroups
-        are the extensions of {0}, and every abelian subgroup is reached
-        through a chain of its own generators.
+        by every z in C(H) \\ H, so the cyclic subgroups are the extensions of
+        {0}, and every abelian subgroup is reached through a chain of its own
+        generators.  z centralizes H, so the extension <H, z> is H<z>.
         """
-        cent = self._centralizers
+        cent, table = self._centralizers, self.table
         found = {frozenset({0})}
         work = list(found)
         while work:
             h = work.pop()
             for z in set(range(self.order)).intersection(*(cent[x] for x in h)) - h:
-                ext = self.subgroup_closure(h | {z})
+                cyclic = self.subgroup_closure([z])
+                ext = frozenset(table[x][p] for x in h for p in cyclic)
                 if ext not in found:
                     found.add(ext)
                     work.append(ext)

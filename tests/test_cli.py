@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import cgraph
 from cgraph.catalog import catalog_entries
 from cgraph.cli import main
 from cgraph.groups import MAX_ORDER
@@ -33,6 +38,40 @@ def test_info_verbose_goes_to_stderr(runner):
     assert result.exit_code == 0
     json.loads(result.stdout)  # stdout stays pure JSON
     assert "order 8" in result.stderr
+
+
+@pytest.mark.parametrize("args, line", [
+    (["--name", "D", "--param", "400"], "D400: 398 vertices, 19603 edges, genus 3153"),
+    (["--name", "S", "--param", "4"], "S4: 23 vertices, 25 edges, genus 0"),
+])
+def test_genus_verbose_line(runner, args, line):
+    result = runner.invoke(main, ["genus", *args, "--verbose"])
+    assert result.exit_code == 0
+    assert result.stderr == line + "\n"
+
+
+def networkx_loaded(args=None) -> bool:
+    """Whether a fresh interpreter holds networkx after importing cgraph.cli
+    and, given args, running that command."""
+    code = "import sys\nfrom cgraph.cli import main\n"
+    if args is not None:
+        code += f"main({args!r}, standalone_mode=False)\n"
+    code += "print('networkx' in sys.modules)"
+    src = str(Path(cgraph.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+def test_networkx_loads_only_when_a_graph_is_built(tmp_path):
+    q12 = ["--name", "Q", "--param", "12"]
+    assert not networkx_loaded()
+    assert not networkx_loaded(["genus", *q12])        # AC: read from the family
+    assert not networkx_loaded(["genus", *q12, "--verbose"])
+    assert networkx_loaded(["genus", "--name", "S", "--param", "4"])  # not AC
+    assert networkx_loaded(["export-dot", *q12, "--out", str(tmp_path / "q12.dot")])
 
 
 def test_info_from_table_file(runner, tmp_path):

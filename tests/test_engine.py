@@ -3,7 +3,7 @@ import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from cgraph import (
     check_bounds_against_group,
@@ -19,6 +19,7 @@ from cgraph import (
     report_to_json,
 )
 from cgraph.catalog import build, catalog_entries, report_for
+from cgraph.engine import _block_sum
 from conftest import complete_bipartite_graph, permutation_generators
 
 from cgraph import SimpleGraph
@@ -157,6 +158,49 @@ def test_ac_blocks_are_the_centralizer_family_cliques():
         assert blocks == members, entry.name
         assert report.block_shapes == tuple(f"K{len(m)}" for m in members)
         assert report.total.value == sum(genus_complete(len(m)) for m in members)
+
+
+def assert_family_path_matches_the_graph(group):
+    """The report an AC-group reads from its centralizer family, field by
+    field against the blocks and girth of its built commuting graph."""
+    report = commuting_graph(group)
+    graph, vertices = commuting_graph_of(group)
+    assert report.is_ac
+    assert report.vertex_elements == vertices
+    assert (len(report.vertex_elements), report.edge_count, report.girth) == \
+        (graph.n, graph.edge_count, graph.girth())
+    blocks, shapes, results, total = _block_sum(graph)
+    assert report.blocks == blocks
+    assert report.block_shapes == shapes
+    assert report.block_results == results
+    assert report.total == total
+
+
+def test_family_path_matches_the_graph_on_ac_entries():
+    entries = [e for e in catalog_entries() if e.expected_ac]
+    assert entries
+    for entry in entries:
+        assert_family_path_matches_the_graph(build(entry.name))
+
+
+# about three in four drawn groups are not AC, which the filter health check
+# would take for a broken strategy
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(permutation_generators())
+def test_family_path_matches_the_graph_on_random_ac_groups(gens):
+    group = group_from_permutations(gens)
+    assume(not group.is_abelian() and group.is_ac_group())
+    assert_family_path_matches_the_graph(group)
+
+
+def test_report_builds_its_graph_on_first_access():
+    report = commuting_graph(build("Q", 12))
+    assert "graph" not in vars(report)
+    graph = report.graph
+    assert report.graph is graph
+    assert (graph.n, graph.edge_count) == (len(report.vertex_elements),
+                                           report.edge_count)
 
 
 def test_vertex_elements_and_labels_align():

@@ -238,6 +238,23 @@ def test_abelian_subgroup_enumeration():
     assert 10 in orders(build("Q", 40))
 
 
+@settings(max_examples=40, deadline=None)
+@given(permutation_generators(max_degree=5))
+def test_abelian_subgroups_match_reclosing_each_extension(gens):
+    """H<z> against the closure of H | {z} over the same walk."""
+    group = group_from_permutations(gens)
+    found = {frozenset({0})}
+    work = list(found)
+    while work:
+        h = work.pop()
+        for z in set(group.elements()).intersection(*map(group.centralizer, h)) - h:
+            ext = group.subgroup_closure(h | {z})
+            if ext not in found:
+                found.add(ext)
+                work.append(ext)
+    assert group.abelian_subgroups() == found
+
+
 def test_quotient_exponent():
     assert build("Q", 8).quotient_exponent() == 2
     assert build("D", 10).quotient_exponent() == 5
