@@ -122,7 +122,7 @@ def genus(name, param, path, verbose):
 def export_dot(name, param, path, out):
     """Write the commuting graph in DOT format."""
     group, label = _load_group(name, param, path)
-    graph, _ = commuting_graph_of(group)
+    graph = commuting_graph_of(group)
     _write(out, graph.to_dot(name=label))
     click.echo(to_json_text({"written": str(out), "vertices": graph.n,
                              "edges": graph.edge_count}), nl=False)

@@ -2,8 +2,9 @@
 
 Builds the commuting graph of a finite non-abelian group, resolves genus
 through block decomposition with formula / planarity / oracle dispatch, and
-implements the closed-form family formulas and the Heawood-style bounds.  An
-AC-group's report is read from its centralizer family, without a graph.
+implements the closed-form family formulas and the Heawood-style bounds.
+Every report reads its counts and girth from centralizer sizes; only a non-AC
+group's blocks need the graph.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class CommutingGraphReport:
     @cached_property
     def graph(self) -> SimpleGraph:
         """The commuting graph, built on first access."""
-        return commuting_graph_of(self.group)[0]
+        return commuting_graph_of(self.group)
 
 
 def _vertices(group: FiniteGroup) -> tuple:
@@ -101,26 +102,26 @@ def _vertices(group: FiniteGroup) -> tuple:
     return tuple(x for x in range(group.order) if x not in center)
 
 
-def commuting_graph_of(group: FiniteGroup) -> tuple[SimpleGraph, tuple]:
-    """The graph on G \\ Z(G) with edges between distinct commuting elements,
-    and the group element index of each vertex."""
+def commuting_graph_of(group: FiniteGroup) -> SimpleGraph:
+    """The graph on G \\ Z(G) with edges between distinct commuting elements;
+    vertex i is the i-th non-central element in ascending order, with its label."""
     vertices = _vertices(group)
     pos = {x: i for i, x in enumerate(vertices)}
     edges = [(pos[x], pos[y])
              for x in vertices for y in group.centralizer(x) if y > x and y in pos]
     labels = [group.labels[x] for x in vertices]
-    return SimpleGraph(len(vertices), edges, labels), vertices
+    return SimpleGraph(len(vertices), edges, labels)
 
 
 def _family_blocks(family, vertices):
-    """(edge count, girth, blocks, shapes, results, total) of an AC-group,
-    read from its centralizer family X = C(x) \\ Z(G).
+    """(blocks, shapes, results, total) of an AC-group, read from its
+    centralizer family X = C(x) \\ Z(G).
 
     The members partition G \\ Z(G), and each is a clique whose elements
     commute with nothing outside it and Z(G): x in X = C(x) \\ Z and y in C(x)
     put y in X or Z.  So the commuting graph is the disjoint union of the
     K_|X|, whose blocks are the members with |X| >= 2 (the rest are isolated
-    vertices), and its girth is 3 if some |X| >= 3, else infinite."""
+    vertices)."""
     pos = {x: i for i, x in enumerate(vertices)}
     members = [m for m in family if len(m) >= 2]
     # pos is increasing, so the sorted family maps to sorted blocks
@@ -128,31 +129,37 @@ def _family_blocks(family, vertices):
     results = tuple(GenusResult.exact(genus_complete(len(m)), "CompleteFormula")
                     for m in members)
     total = GenusResult.exact(sum(r.value for r in results), "BlockSum")
-    edges = sum(len(m) * (len(m) - 1) // 2 for m in members)
-    girth = 3 if any(len(m) >= 3 for m in members) else math.inf
-    return (edges, girth, blocks, tuple(f"K{len(m)}" for m in members),
-            results, total)
+    return blocks, tuple(f"K{len(m)}" for m in members), results, total
 
 
 def commuting_graph(group: FiniteGroup) -> CommutingGraphReport:
-    """The report of a non-abelian group: an AC-group's is read from its
-    centralizer family, any other's from the blocks of its commuting graph."""
+    """The report of a non-abelian group.  Its counts, girth and AC flag are
+    read from centralizer sizes; an AC-group's blocks from its centralizer
+    family, any other's from its built commuting graph.
+
+    With Z = Z(G), a vertex x is adjacent to C(x) \\ Z but x, so its degree
+    is |X| - 1 with X = C(x) \\ Z, and E = (1/2) sum over x not in Z of
+    (|C(x)| - |Z| - 1).
+
+    The girth is 3 if some |X| >= 3, else infinite.  Take y, w in X \\ {x}.
+    If y and w commute, {x, y, w} is a triangle.  If not, {x, y, xy} is one:
+    xy commutes with x and y, is neither of them, as neither is the identity,
+    and is not in Z, since w commutes with x and with Z but not with y.  If
+    every |X| <= 2, every degree is at most 1, and the graph has no cycle."""
     vertices = _vertices(group)
+    z = group.order - len(vertices)
+    degrees = [len(group.centralizer(x)) - z - 1 for x in vertices]
     is_ac = group.is_ac_group()
-    if is_ac:
-        edges, girth, blocks, shapes, block_results, total = \
-            _family_blocks(group.centralizer_family(), vertices)
-    else:
-        graph, _ = commuting_graph_of(group)
-        edges, girth = graph.edge_count, graph.girth()
-        blocks, shapes, block_results, total = _block_sum(graph)
+    blocks, shapes, block_results, total = (
+        _family_blocks(group.centralizer_family(), vertices) if is_ac
+        else _block_sum(commuting_graph_of(group)))
     heawood = (heawood_bounds(total.value, group.quotient_exponent())
                if total.is_exact else None)
     return CommutingGraphReport(
         group=group,
         vertex_elements=vertices,
-        edge_count=edges,
-        girth=girth,
+        edge_count=sum(degrees) // 2,
+        girth=3 if max(degrees) >= 2 else math.inf,
         blocks=blocks,
         block_shapes=shapes,
         block_results=block_results,

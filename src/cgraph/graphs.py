@@ -50,9 +50,6 @@ class SimpleGraph:
     def has_edge(self, u, v):
         return self.nx_graph.has_edge(u, v)
 
-    def degree(self, u):
-        return self.nx_graph.degree[u]
-
     def label(self, u):
         return self.labels[u] if self.labels else str(u)
 
@@ -72,10 +69,6 @@ class SimpleGraph:
         return SimpleGraph(len(vs), edges, labels)
 
     # -- connectivity -----------------------------------------------------
-
-    def connected_components(self):
-        import networkx as nx
-        return sorted(sorted(c) for c in nx.connected_components(self.nx_graph))
 
     def is_connected(self):
         import networkx as nx

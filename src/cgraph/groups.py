@@ -37,19 +37,11 @@ class FiniteGroup:
         self.table = [tuple(row) for row in table]
         self.name = name
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
-        self.inverse = [row.index(0) for row in self.table]
 
     # -- basic arithmetic -------------------------------------------------
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
-
-    def inv(self, x: int) -> int:
-        return self.inverse[x]
-
-    def conjugate(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return self.mul(self.mul(g, x), self.inverse[g])
 
     def element_order(self, x: int) -> int:
         order, acc = 1, x
@@ -57,9 +49,6 @@ class FiniteGroup:
             acc = self.mul(acc, x)
             order += 1
         return order
-
-    def elements(self):
-        return range(self.order)
 
     # -- structural queries ----------------------------------------------
 
@@ -80,10 +69,6 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return len(self.center()) == self.order
 
-    def _distinct_centralizers(self) -> set:
-        """The distinct centralizers C(x) of non-central x."""
-        return {c for c in self._centralizers if len(c) < self.order}
-
     def is_ac_group(self) -> bool:
         """True iff every centralizer of a non-central element is abelian.
 
@@ -91,18 +76,24 @@ class FiniteGroup:
         non-central y in C(x).  If C(x) and C(y) are abelian, y in C(x) gives
         C(x) <= C(y) and x in C(y) gives C(y) <= C(x); conversely, if C(a) ==
         C(x) for every non-central a in C(x), any a, b in C(x) commute.
+
+        So G is AC iff its distinct X = C(x) \\ Z partition G \\ Z, that is,
+        iff the |X| sum to |G| - |Z|: each non-central y lies in its own
+        C(y) \\ Z, and a member C(x) \\ Z that holds y is that one iff
+        C(x) == C(y), as both contain Z.  An abelian group is AC vacuously.
         """
-        rows, n = self._centralizers, self.order
-        return all(rows[y] == c or len(rows[y]) == n
-                   for c in self._distinct_centralizers() for y in c)
+        if self.is_abelian():
+            return True
+        return sum(map(len, self.centralizer_family())) == \
+            self.order - len(self.center())
 
     def centralizer_family(self) -> tuple:
         """Deduplicated sorted tuples C(u) \\ Z over all non-central u, sorted."""
         if self.is_abelian():
             raise ValueError("centralizer family requires a non-abelian group")
         z = set(self.center())
-        return tuple(sorted(tuple(y for y in c if y not in z)
-                            for c in self._distinct_centralizers()))
+        distinct = {c for c in self._centralizers if len(c) < self.order}
+        return tuple(sorted(tuple(y for y in c if y not in z) for c in distinct))
 
     # -- subgroup machinery ----------------------------------------------
 
@@ -160,10 +151,10 @@ class FiniteGroup:
         nset = frozenset(normal)
         if 0 not in nset:
             raise ValueError("normal subgroup must contain the identity")
-        for g in range(self.order):
-            for x in nset:
-                if self.conjugate(g, x) not in nset:
-                    raise ValueError("subgroup is not normal")
+        t = self.table
+        for g in range(self.order):  # gN == Ng
+            if {t[g][x] for x in nset} != {t[x][g] for x in nset}:
+                raise ValueError("subgroup is not normal")
         coset_of = [None] * self.order  # element -> least member of its coset
         for x in range(self.order):
             if coset_of[x] is None:  # no smaller element shares its coset
@@ -330,7 +321,7 @@ def group_from_table(rows) -> FiniteGroup:
                 raise ValueError(f"{kind} {i} has length {len(line)}, expected {n}")
             if set(line) != full:
                 raise ValueError(f"{kind} {i} is not a permutation of 0..{n - 1}")
-    group = FiniteGroup(rows)  # a Latin square: each row has the 0 `inverse` looks up
+    group = FiniteGroup(rows)
     t, ident = group.table, tuple(range(n))
     identity = next((e for e, row in enumerate(t)
                      if row == ident and tuple(r[e] for r in t) == ident), None)

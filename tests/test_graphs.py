@@ -38,10 +38,9 @@ def test_construction_validation():
     assert g.edge_count == 1
 
 
-def test_edges_sorted_and_degree():
+def test_edges_sorted():
     g = SimpleGraph(4, [(2, 1), (0, 3), (1, 0)])
     assert g.edges() == [(0, 1), (0, 3), (1, 2)]
-    assert g.degree(1) == 2 and g.degree(2) == 1
 
 
 def test_induced_subgraph_relabels():
@@ -55,9 +54,8 @@ def test_induced_subgraph_relabels():
 
 
 def test_connected_components():
-    g = SimpleGraph(5, [(0, 1), (2, 3)])
-    assert g.connected_components() == [[0, 1], [2, 3], [4]]
-    assert not g.is_connected()
+    assert not SimpleGraph(5, [(0, 1), (2, 3)]).is_connected()
+    assert not SimpleGraph(3, [(0, 1)]).is_connected()
     assert complete_graph(3).is_connected()
     assert SimpleGraph(0).is_connected()
 
@@ -295,9 +293,7 @@ def is_clique(edge_set, vertices):
 def test_components_match_union_find(graph):
     n, edges = graph
     g = SimpleGraph(n, edges)
-    expected = union_find_components(n, edges)
-    assert g.connected_components() == expected
-    assert g.is_connected() == (len(expected) <= 1)
+    assert g.is_connected() == (len(union_find_components(n, edges)) <= 1)
 
 
 @settings(max_examples=200, deadline=None)
