@@ -2,9 +2,10 @@
 
 Each entry records how to build the group together with its expected
 invariants (order, center size, AC flag, genus where a closed form pins it
-down).  Groups realized from presentations use explicit faithful permutation
-or matrix representations; correctness follows from the generators satisfying
-the defining relations while reaching the full group order.
+down).  A presented group is built from generators that satisfy its defining
+relations and reach its full order: permutations (`_holonomy` builds the split
+metacyclic ones), 2x2 matrices or the element model of Q_{4n}.  Products are
+built from their factors, and the central product D8*Z4 as a quotient.
 """
 
 from __future__ import annotations
@@ -29,13 +30,17 @@ def _cyclic(n):
                                    name=f"Z{n}")
 
 
+def _holonomy(n, mult, name):
+    """Z_n semidirect a cyclic group acting by x -> mult * x, as permutations."""
+    rot = tuple((i + 1) % n for i in range(n))
+    act = tuple((mult * i) % n for i in range(n))
+    return group_from_permutations([rot, act], name=name)
+
+
 def _dihedral(order):
     if order % 2 or order < 6:
         raise ValueError(f"dihedral group order must be even and >= 6, got {order}")
-    n = order // 2
-    rot = tuple((i + 1) % n for i in range(n))
-    ref = tuple((-i) % n for i in range(n))
-    return group_from_permutations([rot, ref], name=f"D{order}")
+    return _holonomy(order // 2, -1, f"D{order}")
 
 
 def _dicyclic(order):
@@ -60,11 +65,8 @@ def _dicyclic(order):
 def _semidihedral(order):
     if order < 16 or order & (order - 1):
         raise ValueError(f"semidihedral group order must be 2^k with k >= 4, got {order}")
-    half = order // 2
-    k = half // 2 - 1  # s r s = r^(2^(n-2) - 1)
-    rot = tuple((i + 1) % half for i in range(half))
-    ref = tuple((k * i) % half for i in range(half))
-    return group_from_permutations([rot, ref], name=f"SD{order}")
+    # s r s = r^(2^(n-2) - 1)
+    return _holonomy(order // 2, order // 4 - 1, f"SD{order}")
 
 
 def _symmetric(n):
@@ -115,7 +117,7 @@ def _gl2(q):
     return group_from_matrices(gens, ctx, name=f"GL(2,{q})")
 
 
-def _sl2(q):
+def _sl2(q, name=None):
     ctx = field(q)
     gens = [Mat2.of(ctx, 1, 1, 0, 1), Mat2.of(ctx, 1, 0, 1, 1)]
     if q > 3:
@@ -123,20 +125,7 @@ def _sl2(q):
         # generator to cover the field extension
         t = _primitive(ctx)
         gens.append(Mat2(ctx, t, 0, 0, ctx.inv[t]))
-    return group_from_matrices(gens, ctx, name=f"SL(2,{q})")
-
-
-def _psl2_char2(q):
-    group = _sl2(q)  # trivial center in characteristic 2, so PSL = SL
-    group.name = f"PSL(2,{q})"
-    return group
-
-
-def _holonomy(n, mult, name):
-    """Z_n semidirect a cyclic group acting by x -> mult * x."""
-    rot = tuple((i + 1) % n for i in range(n))
-    act = tuple((mult * i) % n for i in range(n))
-    return group_from_permutations([rot, act], name=name)
+    return group_from_matrices(gens, ctx, name=name or f"SL(2,{q})")
 
 
 def _sg16_3():
@@ -207,7 +196,9 @@ _PARAMETRIC_BUILDERS = {
     "Z": (_cyclic, lambda n: n),
     "GL2": (_gl2, lambda q: (q * q - 1) * (q * q - q)),
     "SL2": (_sl2, lambda q: q * (q * q - 1)),
-    "PSL2": (_psl2_char2, lambda q: q * (q * q - 1) // math.gcd(2, q - 1)),
+    # SL(2,2^k) has a trivial center, so it is PSL(2,2^k); an odd q fails the check
+    "PSL2": (lambda q: _sl2(q, f"PSL(2,{q})"),
+             lambda q: q * (q * q - 1) // math.gcd(2, q - 1)),
 }
 
 
@@ -259,7 +250,7 @@ class CatalogEntry:
     expected_center: int
     expected_ac: bool
     expected_genus: int | None        # None: no exact value is asserted
-    tags: tuple
+    tags: tuple = ("counterexample",)
     family: tuple | None = None       # family_genus arguments, when a formula applies
     alias_of: str | None = None       # isomorphic to another catalog entry
 
@@ -271,63 +262,53 @@ class CatalogEntry:
         return self.alias_of or self.name
 
 
-def _entry(name, builder, order, center, ac, genus, tags=("counterexample",),
-           family=None, alias_of=None):
-    return CatalogEntry(name, builder, order, center, ac, genus, tuple(tags),
-                        family, alias_of)
-
-
 def _catalog() -> list:
     entries = [
-        _entry("S3", ("S", 3), 6, 1, True, 0,
-               ("acyclic-list", "planar-list"), family=("PQ", 2, 3)),
-        _entry("D10", ("D", 10), 10, 1, True, 0, ("planar-list",),
-               family=("PQ", 2, 5)),
-        _entry("A4", ("A", 4), 12, 1, True, 0, ("planar-list",)),
-        _entry("Sz(2)", ("Sz(2)", None), 20, 1, True, 0, ("planar-list",)),
-        _entry("S4", ("S", 4), 24, 1, False, 0, ("planar-list",)),
-        _entry("A5", ("A", 5), 60, 1, True, 0, ("planar-list",)),
-        _entry("D12", ("D", 12), 12, 2, True, 0, ("planar-list",),
-               family=("Dihedral", 6)),
-        _entry("Q12", ("Q", 12), 12, 2, True, 0, ("planar-list",),
-               family=("Dicyclic", 3)),
-        _entry("SL(2,3)", ("SL(2,3)", None), 24, 2, True, 0, ("planar-list",)),
-        _entry("Z2xD8", ("Z2xD8", None), 16, 4, True, 0, ("planar-list",)),
-        _entry("Z2xQ8", ("Z2xQ8", None), 16, 4, True, 0, ("planar-list",)),
-        _entry("SG16_3", ("SG16_3", None), 16, 4, True, 0, ("planar-list",)),
-        _entry("Z4:Z4", ("Z4:Z4", None), 16, 4, True, 0, ("planar-list",)),
-        _entry("D8*Z4", ("D8*Z4", None), 16, 4, True, 0, ("planar-list",)),
-        _entry("M16", ("M16", None), 16, 4, True, 0, ("planar-list",)),
-        _entry("Z7:Z3", ("Z7:Z3", None), 21, 1, True, 1, ("toroidal-list",),
-               family=("PQ", 3, 7)),
-        _entry("Z2xA4", ("Z2xA4", None), 24, 2, True, 1, ("toroidal-list",)),
-        _entry("Z3xS3", ("Z3xS3", None), 18, 3, True, 1, ("toroidal-list",)),
-        _entry("SD16", ("SD", 16), 16, 2, True, 1, ("toroidal-list",),
-               family=("Semidihedral", 4)),
+        CatalogEntry("S3", ("S", 3), 6, 1, True, 0,
+                     ("acyclic-list", "planar-list"), family=("PQ", 2, 3)),
+        CatalogEntry("D10", ("D", 10), 10, 1, True, 0, ("planar-list",),
+                     family=("PQ", 2, 5)),
+        CatalogEntry("A4", ("A", 4), 12, 1, True, 0, ("planar-list",)),
+        CatalogEntry("Sz(2)", ("Sz(2)", None), 20, 1, True, 0, ("planar-list",)),
+        CatalogEntry("S4", ("S", 4), 24, 1, False, 0, ("planar-list",)),
+        CatalogEntry("A5", ("A", 5), 60, 1, True, 0, ("planar-list",)),
+        CatalogEntry("D12", ("D", 12), 12, 2, True, 0, ("planar-list",),
+                     family=("Dihedral", 6)),
+        CatalogEntry("Q12", ("Q", 12), 12, 2, True, 0, ("planar-list",),
+                     family=("Dicyclic", 3)),
+        CatalogEntry("SL(2,3)", ("SL(2,3)", None), 24, 2, True, 0, ("planar-list",)),
+        CatalogEntry("Z2xD8", ("Z2xD8", None), 16, 4, True, 0, ("planar-list",)),
+        CatalogEntry("Z2xQ8", ("Z2xQ8", None), 16, 4, True, 0, ("planar-list",)),
+        CatalogEntry("SG16_3", ("SG16_3", None), 16, 4, True, 0, ("planar-list",)),
+        CatalogEntry("Z4:Z4", ("Z4:Z4", None), 16, 4, True, 0, ("planar-list",)),
+        CatalogEntry("D8*Z4", ("D8*Z4", None), 16, 4, True, 0, ("planar-list",)),
+        CatalogEntry("M16", ("M16", None), 16, 4, True, 0, ("planar-list",)),
+        CatalogEntry("Z7:Z3", ("Z7:Z3", None), 21, 1, True, 1, ("toroidal-list",),
+                     family=("PQ", 3, 7)),
+        CatalogEntry("Z2xA4", ("Z2xA4", None), 24, 2, True, 1, ("toroidal-list",)),
+        CatalogEntry("Z3xS3", ("Z3xS3", None), 18, 3, True, 1, ("toroidal-list",)),
+        CatalogEntry("SD16", ("SD", 16), 16, 2, True, 1, ("toroidal-list",),
+                     family=("Semidihedral", 4)),
         # counterexamples exercised by the classification proofs
-        _entry("S5", ("S", 5), 120, 1, False, None),
-        _entry("GL(2,3)", ("GL2", 3), 48, 2, True, 3,
-               family=("GL2", 3)),
-        _entry("PSL(2,4)", ("PSL2", 4), 60, 1, True, 0, ("counterexample",),
-               family=("PSL2", 2), alias_of="A5"),
-        _entry("PSL(2,8)", ("PSL2", 8), 504, 1, True, 101,
-               family=("PSL2", 3)),
-        _entry("SD32", ("SD", 32), 32, 2, True, 10,
-               family=("Semidihedral", 5)),
-        _entry("27_exp3", ("27_exp3", None), 27, 3, True, 4,
-               family=("PCubed", 3)),
-        _entry("27_exp9", ("27_exp9", None), 27, 3, True, 4,
-               family=("PCubed", 3)),
-        _entry("D30", ("D", 30), 30, 1, True, 10,
-               family=("Dihedral", 15)),
-        _entry("Z3xD10", ("Z3xD10", None), 30, 3, True, 6),
-        _entry("Z5xS3", ("Z5xS3", None), 30, 5, True, 7),
-        _entry("Z2xD12", ("Z2xD12", None), 24, 4, True, 2,
-               tags=("counterexample", "counterexample-candidate")),
-        _entry("Z3xD8", ("Z3xD8", None), 24, 6, True, 3,
-               tags=("counterexample", "counterexample-candidate")),
-        _entry("Z3xQ8", ("Z3xQ8", None), 24, 6, True, 3,
-               tags=("counterexample", "counterexample-candidate")),
+        CatalogEntry("S5", ("S", 5), 120, 1, False, None),
+        CatalogEntry("GL(2,3)", ("GL2", 3), 48, 2, True, 3, family=("GL2", 3)),
+        CatalogEntry("PSL(2,4)", ("PSL2", 4), 60, 1, True, 0,
+                     family=("PSL2", 2), alias_of="A5"),
+        CatalogEntry("PSL(2,8)", ("PSL2", 8), 504, 1, True, 101, family=("PSL2", 3)),
+        CatalogEntry("SD32", ("SD", 32), 32, 2, True, 10, family=("Semidihedral", 5)),
+        CatalogEntry("27_exp3", ("27_exp3", None), 27, 3, True, 4,
+                     family=("PCubed", 3)),
+        CatalogEntry("27_exp9", ("27_exp9", None), 27, 3, True, 4,
+                     family=("PCubed", 3)),
+        CatalogEntry("D30", ("D", 30), 30, 1, True, 10, family=("Dihedral", 15)),
+        CatalogEntry("Z3xD10", ("Z3xD10", None), 30, 3, True, 6),
+        CatalogEntry("Z5xS3", ("Z5xS3", None), 30, 5, True, 7),
+        CatalogEntry("Z2xD12", ("Z2xD12", None), 24, 4, True, 2,
+                     tags=("counterexample", "counterexample-candidate")),
+        CatalogEntry("Z3xD8", ("Z3xD8", None), 24, 6, True, 3,
+                     tags=("counterexample", "counterexample-candidate")),
+        CatalogEntry("Z3xQ8", ("Z3xQ8", None), 24, 6, True, 3,
+                     tags=("counterexample", "counterexample-candidate")),
     ]
     # parameter sweeps: (order, tags, genus from the family formula)
     for order, tags, genus in [
@@ -336,16 +317,16 @@ def _catalog() -> list:
             (18, ("counterexample",), 2), (20, ("counterexample",), 2),
             (22, ("counterexample",), 4),
             (24, ("counterexample", "counterexample-candidate"), 4)]:
-        entries.append(_entry(f"D{order}", ("D", order), order,
-                              2 - order // 2 % 2, True, genus, tags,
-                              family=("Dihedral", order // 2)))
+        entries.append(CatalogEntry(f"D{order}", ("D", order), order,
+                                    2 - order // 2 % 2, True, genus, tags,
+                                    family=("Dihedral", order // 2)))
     for order, tags, genus in [
             (8, ("acyclic-list", "planar-list"), None),
             (16, ("toroidal-list",), 1), (20, ("counterexample",), 2),
             (24, ("counterexample", "counterexample-candidate"), 4),
             (28, ("counterexample",), 6), (40, ("counterexample",), 18)]:
-        entries.append(_entry(f"Q{order}", ("Q", order), order, 2, True, genus,
-                              tags, family=("Dicyclic", order // 4)))
+        entries.append(CatalogEntry(f"Q{order}", ("Q", order), order, 2, True, genus,
+                                    tags, family=("Dicyclic", order // 4)))
     entries.sort(key=lambda e: e.name)
     return entries
 

@@ -241,11 +241,10 @@ def family_genus(tag: str, *params) -> int:
 # -- Heawood-style bounds --------------------------------------------------
 
 def heawood_clique_bound(g: int) -> int:
-    """h(g) = floor((7 + sqrt(1 + 48 g)) / 2); h(0) = 4 by the K5 argument."""
+    """h(g) = floor((7 + sqrt(1 + 48 g)) / 2), the largest n with
+    genus(K_n) <= g (Ringel-Youngs); h(0) = 4, as K5 is not planar."""
     if g < 0:
         raise ValueError("genus cannot be negative")
-    if g == 0:
-        return 4
     return (7 + math.isqrt(1 + 48 * g)) // 2
 
 
@@ -266,7 +265,10 @@ class HeawoodBounds:
 
 
 def heawood_bounds(g: int, t: int) -> HeawoodBounds:
-    """The bounds for genus g and quotient exponent t = exp(G/Z(G))."""
+    """The bounds for genus g and t, the largest element order of G/Z(G): an
+    xZ of order t gives the (t - 1)|Z| non-central, pairwise commuting elements
+    of the x^i Z, 0 < i < t, so the center bound |Z| <= h // (t - 1) needs that
+    t, not the exponent of G/Z(G) (for S3, 4 // 5 = 0 < |Z| = 1)."""
     if t < 2:
         raise ValueError("quotient exponent t must be >= 2")
     h = heawood_clique_bound(g)

@@ -4,8 +4,9 @@ Every group is built by one generator closure, `group_from_operation`:
 permutations, 2x2 matrices over a finite field, element models, direct
 products and quotients only supply its generators and product, so its tables
 are group tables by construction; only a table read from a file is checked.
-Groups are immutable once constructed.  Element ordering is BFS from the
-identity over the generators in the order given, which keeps labels deterministic.
+A group's table and element order never change once built.  Elements are in
+BFS order from the identity over the generators in the order given, which
+keeps labels, rendered on first read, deterministic.
 """
 
 from __future__ import annotations
@@ -33,10 +34,17 @@ class FiniteGroup:
     """
 
     def __init__(self, table, labels=None, name=None):
-        self.order = n = len(table)
+        self.order = len(table)
         self.table = [tuple(row) for row in table]
         self.name = name
-        self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
+        self._labels = labels
+
+    @cached_property
+    def labels(self) -> list:
+        """One string per element, rendered on first read: an AC report reads none."""
+        if self._labels is None:
+            return [str(i) for i in range(self.order)]
+        return list(self._labels)
 
     # -- basic arithmetic -------------------------------------------------
 

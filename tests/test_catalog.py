@@ -14,7 +14,7 @@ from cgraph.catalog import (
     report_for,
 )
 from cgraph.fields import FIELDS
-from cgraph.groups import MAX_ORDER
+from cgraph.groups import MAX_ORDER, group_from_permutations
 
 
 def test_build_simple_and_parametric():
@@ -87,6 +87,28 @@ def test_primitive_scalar_generates_the_multiplicative_group(q):
         powers.add(acc)
         acc = ctx.mul[acc][z]
     assert len(powers) == q - 1
+
+
+def _rotation_and_reflection(family, order):
+    """D_{2n} and SD_{2^k} as they were built before `_holonomy`: the rotation
+    and the reflection of Z_n, n = order / 2, written out."""
+    n = order // 2
+    rot = tuple((i + 1) % n for i in range(n))
+    if family == "D":
+        ref = tuple((-i) % n for i in range(n))
+    else:
+        k = n // 2 - 1  # s r s = r^(2^(n-2) - 1)
+        ref = tuple((k * i) % n for i in range(n))
+    return group_from_permutations([rot, ref], name=f"{family}{order}")
+
+
+@pytest.mark.parametrize("family, orders", [
+    ("D", range(6, 201, 2)), ("SD", [2 ** k for k in range(4, 10)])])
+def test_metacyclic_builds_match_the_written_out_generators(family, orders):
+    for order in orders:
+        group, reference = build(family, order), _rotation_and_reflection(family, order)
+        assert (group.table, group.labels, group.name) == \
+            (reference.table, reference.labels, reference.name), order
 
 
 def test_named_constructions_orders_and_centers():

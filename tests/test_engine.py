@@ -200,6 +200,13 @@ def test_report_builds_its_graph_on_first_access():
                                            report.edge_count)
 
 
+def test_ac_report_renders_no_labels():
+    group = build.__wrapped__("D", 400)  # uncached: no other test has read its labels
+    commuting_graph(group)
+    assert "labels" not in vars(group)
+    assert group.labels[0] == "()" and "labels" in vars(group)
+
+
 def test_vertex_elements_and_labels_align():
     group = build("Q", 8)
     report = commuting_graph(group)
@@ -267,11 +274,10 @@ def test_heawood_clique_bound_values():
 
 
 def test_heawood_bound_dominates_complete_genus():
-    # K_{h(g)+1} must have genus > g for every g
-    for g in range(60):
+    # Ringel-Youngs: h(g) is the largest n with genus(K_n) <= g
+    for g in range(20001):
         h = heawood_clique_bound(g)
-        assert genus_complete(h) <= max(g, 1 if g == 0 else g)
-        assert genus_complete(h + 2) > g
+        assert genus_complete(h) <= g < genus_complete(h + 1), g
 
 
 def test_heawood_bounds_fields():

@@ -5,8 +5,10 @@ interval (S5), matrix groups over a prime field (GL(2,3), GL(2,5)) and over
 GF(4) (GL(2,4)), an element model (Q12), SD16, a direct product (Z2xD8), a
 quotient (D8*Z4), a large AC-group (D400) and a matrix group with a trivial
 center (PSL(2,8)).  `verify_all.json` is the
-stdout of `cgraph verify all`, and `S5.dot` the file `cgraph export-dot`
-writes for S5, whose edge order comes from `SimpleGraph.edges`.
+stdout of `cgraph verify all` and `catalog.json` that of `cgraph
+export-catalog`.  `S5.dot` and `D8_Z4.dot` are the files `cgraph export-dot`
+writes for S5, whose edge order comes from `SimpleGraph.edges`, and for D8*Z4,
+whose labels go through the direct-product pair and the quotient coset labels.
 """
 
 from pathlib import Path
@@ -46,9 +48,22 @@ def test_verify_all_stdout_matches_golden():
     assert result.stdout == (GOLDEN / "verify_all.json").read_text()
 
 
-def test_export_dot_file_matches_golden(tmp_path):
-    out = tmp_path / "S5.dot"
-    result = CliRunner().invoke(
-        main, ["export-dot", "--name", "S", "--param", "5", "--out", str(out)])
+def test_export_catalog_stdout_matches_golden():
+    result = CliRunner().invoke(main, ["export-catalog"])
     assert result.exit_code == 0, result.output
-    assert out.read_text() == (GOLDEN / "S5.dot").read_text()
+    assert result.stdout == (GOLDEN / "catalog.json").read_text()
+
+
+def assert_export_dot_matches_golden(tmp_path, case, args):
+    out = tmp_path / f"{case}.dot"
+    result = CliRunner().invoke(main, ["export-dot", *args, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_text() == (GOLDEN / f"{case}.dot").read_text()
+
+
+def test_export_dot_file_matches_golden(tmp_path):
+    assert_export_dot_matches_golden(tmp_path, "S5", ["--name", "S", "--param", "5"])
+
+
+def test_export_dot_pair_and_coset_labels_match_golden(tmp_path):
+    assert_export_dot_matches_golden(tmp_path, "D8_Z4", ["--name", "D8*Z4"])
