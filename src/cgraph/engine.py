@@ -38,7 +38,7 @@ def _block_genus(block: SimpleGraph):
                 GenusResult.exact(genus_complete_bipartite(*mn), "BipartiteFormula"))
     if block.is_planar():
         return "other", GenusResult.exact(0, "PlanarTest")
-    genus = genus_oracle(block)
+    genus = genus_oracle(block, lower=1)  # the planarity test failed
     if genus is not None:
         return "other", GenusResult.exact(genus, "RotationOracle")
     # a block that failed the planarity test has genus >= 1

@@ -175,18 +175,26 @@ class FiniteGroup:
             name=f"{self.name}/N" if self.name else None)
 
     def quotient_exponent(self) -> int:
-        """Maximum element order in G/Z(G): the largest least k >= 1 with x^k in Z."""
+        """Maximum element order in G/Z(G): the largest least k >= 1 with x^k in Z.
+
+        One walk over x's powers x, x^2, .., x^(k-1) settles them all: x^j has
+        order k / gcd(j, k) <= k in G/Z, so none of them can raise the maximum.
+        """
         if self.is_abelian():
             raise ValueError("quotient exponent requires a non-abelian group")
+        t = self.table
         z = set(self.center())
-
-        def order_mod_center(x):
-            k, acc = 1, x
-            while acc not in z:
-                acc = self.table[acc][x]
-                k += 1
-            return k
-        return max(map(order_mod_center, range(self.order)))
+        done = set(z)
+        exponent = 1
+        for x in range(self.order):
+            if x not in done:
+                k, acc = 1, x
+                while acc not in z:
+                    done.add(acc)
+                    acc = t[acc][x]
+                    k += 1
+                exponent = max(exponent, k)
+        return exponent
 
     def __repr__(self):
         name = self.name or "FiniteGroup"

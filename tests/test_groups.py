@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from cgraph import (
+    FiniteGroup,
     direct_product,
     group_from_file_text,
     group_from_operation,
@@ -268,6 +269,34 @@ def test_quotient_exponent():
     assert build("SL(2,3)").quotient_exponent() == 3
     with pytest.raises(ValueError):
         build("Z", 4).quotient_exponent()
+
+
+def test_quotient_exponent_matches_every_elements_own_walk():
+    # the reference walks each element's powers on its own, settling nothing;
+    # the reversed relabelling (identity kept at 0) changes which element of
+    # each cyclic subgroup is walked first
+    def per_element(g):
+        z = set(g.center())
+
+        def order_mod_center(x):
+            k, acc = 1, x
+            while acc not in z:
+                acc = g.table[acc][x]
+                k += 1
+            return k
+        return max(map(order_mod_center, range(g.order)))
+
+    for entry in catalog_entries():
+        g = entry.build()
+        if not g.is_abelian():
+            n = g.order
+            rev = [-i % n for i in range(n)]
+            reversed_table = [[0] * n for _ in range(n)]
+            for i, row in enumerate(g.table):
+                for j, ij in enumerate(row):
+                    reversed_table[rev[i]][rev[j]] = rev[ij]
+            for h in (g, FiniteGroup(reversed_table)):
+                assert h.quotient_exponent() == per_element(h), entry.name
 
 
 def test_quotient_exponent_is_max_order_in_quotient_by_center():
