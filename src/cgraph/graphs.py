@@ -4,25 +4,25 @@ Covers blocks, girth, complete / complete-bipartite recognition,
 planarity, the closed-form genus formulas for K_n and K_{m,n}, Euler/Betti
 genus bounds, and an exact genus oracle that searches rotation systems.
 A graph is held as one networkx graph, which supplies components, blocks,
-bipartite tests, maximum cliques, girth, planarity and the oracle's vertex
-order.  networkx is imported inside the functions that call it: it takes most
-of the package's import time, and a report on an AC-group builds no graph.
+bipartite tests, maximum cliques, girth and planarity.  networkx is imported
+inside the functions that call it: it takes most of the package's import
+time, and a report on an AC-group builds no graph.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 # The most rotation systems, prod over vertices of (deg - 1)!, that the oracle
-# accepts.  The count is read from the degrees, not from the search, which cuts
-# branches and stops at its floor.  With the Euler floor of 0 alone, non-planar
-# 7- to 10-vertex blocks of 41k-83k systems are searched to the end in
-# 0.1-0.4 s, and the 14-vertex Heawood graph in about 0.04 s; floored at 1,
-# as the dispatcher does after a failed planarity test, each ends within 3 ms
-# (CPython 3.11, 2-vCPU VM).  K_{1,3,3}, with 5,598,720 systems, is still
-# refused and gets bounds, though the floored search ends in 0.08 s.
+# enumerates.  A system costs 8-11 us on 7- to 10-vertex blocks and 12-16 us on
+# the 14-vertex Heawood graph (CPython 3.11, 2-vCPU Xeon VM), so a search to
+# the end takes up to about 1-1.6 s.  Floored at 1, as the dispatcher does
+# after a failed planarity test, it stops at the first toroidal system: within
+# 9 ms on non-planar blocks of 41k-83k systems, 16 ms on the Heawood graph.
+# The gate counts every system all the same, so K_{1,3,3}, with 5,598,720
+# systems, is refused and gets bounds, though its floored search ends in 0.4 s.
 MAX_ROTATION_SYSTEMS = 10 ** 5
 
 
@@ -214,24 +214,20 @@ def max_clique(g: SimpleGraph):
 # -- exact genus oracle ----------------------------------------------------
 
 def genus_oracle(g: SimpleGraph, lower: int = 0):
-    """Exact genus by a branch and bound over rotation systems.
+    """Exact genus by a search over rotation systems.
 
-    A rotation system is a cyclic order of the neighbours at each vertex; the
-    dart (a, b) is followed on its face by (b, succ_b(a)), and the least genus
-    by Euler's formula over all systems is the orientable genus.  The search
-    fixes one vertex at a time and counts a face when its last link lands.
-    Every face has at least 3 darts, so a branch is cut when its closed faces
-    plus a third of its open darts cannot beat the best genus found.  It stops
-    at max(lower, Euler lower bound), so `lower` must be a genus the caller
-    has proven, e.g. 1 after a failed planarity test.  Returns None past
-    MAX_ROTATION_SYSTEMS systems.
+    Enumerates every assignment of a cyclic order of incident edges at each
+    vertex, traces faces and applies Euler's formula; the minimum over all
+    systems is the orientable genus.  Returns None past MAX_ROTATION_SYSTEMS
+    systems.  Stops early at the first system of genus max(lower, Euler lower
+    bound), so `lower` must be a genus the caller has proven, e.g. 1 after a
+    failed planarity test.
     """
-    import networkx as nx
     if not g.is_connected():
         raise ValueError("genus oracle requires a connected graph")
     e = g.edge_count
     v = g.n
-    if e <= 1:  # a vertex or an edge; the cut below needs faces of >= 3 darts
+    if e == 0:
         return 0
     adj = g.nx_graph.adj
     systems = 1
@@ -239,72 +235,32 @@ def genus_oracle(g: SimpleGraph, lower: int = 0):
         systems *= math.factorial(len(adj[a]) - 1)
         if systems > MAX_ROTATION_SYSTEMS:
             return None
+    darts = [(a, b) for a in range(v) for b in adj[a]]
     floor_genus = max(lower, genus_lower_bound_euler(g))
 
-    # An open walk is a chain of darts from s to t: last[s] = t, first[t] = s,
-    # length[s] darts.
-    first = list(range(2 * e))
-    last = list(range(2 * e))
-    length = [1] * (2 * e)
-    closed, open_darts = 0, 2 * e
-    spherical = 2 - v + e  # faces of a genus-0 embedding
-    best = (e - v + 1) // 2 + 1  # above the Betti bound, which every system meets
+    # Cyclic orders at a vertex as successor maps: fix the smallest neighbour,
+    # permute the rest.
+    orders = []
+    for a in range(v):
+        head, *rest = sorted(adj[a])
+        orders.append([dict(zip((head,) + p, p + (head,)))
+                       for p in permutations(rest)])
 
-    def link(links):
-        """Join each link's two walks, or close a face; return each walk's start."""
-        nonlocal closed, open_darts
-        starts = []
-        for x, y in links:
-            s = first[x]
-            if s == y:  # x's walk starts at y: the link closes a face
-                closed += 1
-                open_darts -= length[s]
-            else:
-                last[s] = t = last[y]
-                first[t] = s
-                length[s] += length[y]
-            starts.append(s)
-        return starts
-
-    def search(i):
-        nonlocal closed, open_darts, best
-        if i == len(branching):
-            best = min(best, (spherical - closed) // 2)
-            return best == floor_genus
-        for links in branching[i]:
-            starts = link(links)
-            if (closed + open_darts // 3 >= spherical - 2 * (best - 1)
-                    and search(i + 1)):
-                return True
-            for (x, y), s in zip(reversed(links), reversed(starts)):  # undo
-                if s == y:
-                    closed -= 1
-                    open_darts += length[s]
-                else:
-                    first[last[s]] = y
-                    last[s] = x
-                    length[s] -= length[y]
-        return False
-
-    # Vertices in BFS order from one of largest degree, so faces close early.
-    # Each cyclic order at b fixes the smallest neighbour, permutes the rest
-    # and is held as its dart links (a, b) -> (b, succ_b(a)).  A vertex of
-    # degree <= 2 has one order and is linked at once, so the search recurses
-    # once per branching vertex (at most 16 under the limit).
-    dart = {d: i for i, d in enumerate((a, b) for a in range(v) for b in adj[a])}
-    start = max(range(v), key=lambda a: len(adj[a]))
-    bfs = nx.bfs_edges(g.nx_graph, start, sort_neighbors=sorted)
-    branching = []
-    for b in [start] + [b for _, b in bfs]:
-        head, *rest = sorted(adj[b])
-        orders = [[(dart[a, b], dart[b, c]) for a, c in zip(cyc, cyc[1:] + cyc[:1])]
-                  for cyc in ((head,) + p for p in permutations(rest))]
-        if len(orders) > 1:
-            branching.append(orders)
-        else:
-            link(orders[0])
-    search(0)
-    # search reaches itself through its closure: a cycle that would keep the
-    # arrays alive until the next garbage collection
-    del search
+    best = None
+    for succ in product(*orders):
+        # the dart (a, b) is followed on its face by (b, succ[b][a])
+        unseen = set(darts)
+        faces = 0
+        for dart in darts:
+            if dart in unseen:
+                faces += 1
+                a, b = dart
+                while (a, b) in unseen:
+                    unseen.remove((a, b))
+                    a, b = b, succ[b][a]
+        genus = (2 - v + e - faces) // 2
+        if best is None or genus < best:
+            best = genus
+            if best == floor_genus:
+                break
     return best
