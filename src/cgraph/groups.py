@@ -127,16 +127,19 @@ class FiniteGroup:
         Seeded with the trivial subgroup; each abelian subgroup H is extended
         by every z in C(H) \\ H, so the cyclic subgroups are the extensions of
         {0}, and every abelian subgroup is reached through a chain of its own
-        generators.  z centralizes H, so the extension <H, z> is H<z>.
+        generators.  z centralizes H, so the extension <H, z> is H<z>.  Each
+        <z> is closed once, however many subgroups z extends.
         """
         cent, table = self._centralizers, self.table
+        cyclic = {}
         found = {frozenset({0})}
         work = list(found)
         while work:
             h = work.pop()
             for z in set(range(self.order)).intersection(*(cent[x] for x in h)) - h:
-                cyclic = self.subgroup_closure([z])
-                ext = frozenset(table[x][p] for x in h for p in cyclic)
+                if z not in cyclic:
+                    cyclic[z] = self.subgroup_closure([z])
+                ext = frozenset(table[x][p] for x in h for p in cyclic[z])
                 if ext not in found:
                     found.add(ext)
                     work.append(ext)

@@ -65,13 +65,14 @@ def networkx_loaded(args=None) -> bool:
     return proc.stdout.splitlines()[-1] == "True"
 
 
-def test_networkx_loads_only_when_a_graph_is_built(tmp_path):
+def test_networkx_is_never_loaded(tmp_path):
+    # the graph layer is self-contained: networkx is only the tests' oracle
     q12 = ["--name", "Q", "--param", "12"]
     assert not networkx_loaded()
     assert not networkx_loaded(["genus", *q12])        # AC: read from the family
-    assert not networkx_loaded(["genus", *q12, "--verbose"])
-    assert networkx_loaded(["genus", "--name", "S", "--param", "4"])  # not AC
-    assert networkx_loaded(["export-dot", *q12, "--out", str(tmp_path / "q12.dot")])
+    assert not networkx_loaded(["genus", "--name", "S", "--param", "4"])  # not AC
+    assert not networkx_loaded(["export-dot", *q12, "--out", str(tmp_path / "q12.dot")])
+    assert not networkx_loaded(["verify", "all"])
 
 
 def test_info_from_table_file(runner, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cgraph import (
     SimpleGraph,
+    commuting_graph_of,
     disjoint_clique_lower_bound,
     genus_complete,
     genus_complete_bipartite,
@@ -18,7 +19,21 @@ from cgraph import (
     max_clique,
 )
 
+from cgraph.catalog import build
 from conftest import complete_bipartite_graph, complete_graph
+
+
+def to_nx(g):
+    """The same graph in networkx, the oracle these tests compare against."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def from_nx(h):
+    h = nx.convert_node_labels_to_integers(h)
+    return SimpleGraph(h.number_of_nodes(), h.edges())
 
 
 def cycle_graph(n):
@@ -101,6 +116,63 @@ def test_is_planar(k5):
     assert not k5.is_planar()
     assert not complete_bipartite_graph(3, 3).is_planar()
     assert cycle_graph(8).is_planar()
+    # K5 with a pendant edge passes E <= 3V - 6, so its K5 block is tested
+    assert not SimpleGraph(6, k5.edges() + [(4, 5)]).is_planar()
+
+
+def stacked_triangulation(n):
+    """A maximal planar graph on n >= 4 vertices (E = 3n - 6): K4, then each
+    new vertex joined to the three corners of a face, which it splits in three."""
+    edges = list(combinations(range(4), 2))
+    faces = list(combinations(range(4), 3))
+    for v in range(4, n):
+        a, b, c = faces.pop(v * 7 % len(faces))
+        edges += [(a, v), (b, v), (c, v)]
+        faces += [(a, b, v), (b, c, v), (a, c, v)]
+    return SimpleGraph(n, edges)
+
+
+def subdivided(g):
+    """g with a new vertex in the middle of every edge."""
+    edges = [(u, g.n + i) for i, (u, _) in enumerate(g.edges())]
+    edges += [(v, g.n + i) for i, (_, v) in enumerate(g.edges())]
+    return SimpleGraph(g.n + g.edge_count, edges)
+
+
+@pytest.mark.parametrize("n", [5, 8, 13, 30])
+def test_maximal_planar_graphs_and_one_edge_more(n):
+    g = stacked_triangulation(n)
+    assert g.edge_count == 3 * n - 6 and g.is_planar()
+    missing = next(e for e in combinations(range(n), 2) if not g.has_edge(*e))
+    assert not SimpleGraph(n, g.edges() + [missing]).is_planar()
+
+
+@pytest.mark.parametrize("h, planar", [
+    (nx.octahedral_graph(), True),
+    (nx.icosahedral_graph(), True),
+    (nx.petersen_graph(), False),
+    (nx.heawood_graph(), False),
+    (nx.triangular_lattice_graph(20, 20), True),  # 231 vertices, 630 edges
+], ids=["octahedron", "icosahedron", "petersen", "heawood", "lattice231"])
+def test_is_planar_named_graphs(h, planar):
+    assert from_nx(h).is_planar() == planar
+
+
+def test_is_planar_subdivided_kuratowski_graphs(k5):
+    for g in (k5, complete_bipartite_graph(3, 3)):
+        assert not subdivided(g).is_planar()
+        assert not subdivided(subdivided(g)).is_planar()
+    assert subdivided(complete_graph(4)).is_planar()
+
+
+def test_is_planar_on_the_s5_block():
+    # the block of S5's commuting graph that the oracle cannot take
+    graph = commuting_graph_of(build("S", 5))
+    big = [b for b in graph.blocks() if len(b) == 25]
+    assert len(big) == 1
+    block = graph.induced_subgraph(big[0])
+    assert block.edge_count == 60 and block.edge_count <= 3 * block.n - 6
+    assert not block.is_planar()
 
 
 def test_to_dot():
@@ -204,8 +276,7 @@ def test_oracle_heawood_graph_runs_to_the_end():
     # Euler floor is 0 and the genus is 1.  The dispatcher floors the search
     # at 1 after the failed planarity test, so it stops at the first toroidal
     # system
-    heawood = nx.convert_node_labels_to_integers(nx.heawood_graph())
-    g = SimpleGraph(14, heawood.edges())
+    g = from_nx(nx.heawood_graph())
     assert g.recognize_complete_bipartite() is None
     assert genus_lower_bound_euler(g) == 0
     assert genus_oracle(g) == 1
@@ -241,7 +312,7 @@ def oracle_graphs(draw, max_systems=2000):
 @given(oracle_graphs())
 def test_oracle_against_planarity_bounds_and_block_sum(g):
     genus = genus_oracle(g)
-    assert (genus == 0) == nx.is_planar(g.nx_graph)
+    assert (genus == 0) == nx.is_planar(to_nx(g))
     assert genus_lower_bound_euler(g) <= genus <= genus_upper_bound_betti(g)
     if genus:  # a failed planarity test proves the floor of 1
         assert genus_oracle(g, lower=1) == genus
@@ -299,6 +370,33 @@ def test_components_match_union_find(graph):
     n, edges = graph
     g = SimpleGraph(n, edges)
     assert g.is_connected() == (len(union_find_components(n, edges)) <= 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_blocks_and_girth_match_networkx(graph):
+    n, edges = graph
+    g = SimpleGraph(n, edges)
+    h = to_nx(g)
+    assert g.blocks() == tuple(sorted(tuple(sorted(b))
+                                      for b in nx.biconnected_components(h)))
+    assert g.girth() == nx.girth(h)
+
+
+@st.composite
+def planarity_graphs(draw):
+    """(n, edge list) with n <= 12 and at most 3n edges drawn, repeats allowed,
+    so that sparse non-planar graphs turn up as well as dense ones."""
+    n = draw(st.integers(0, 12))
+    pairs = list(combinations(range(n), 2))
+    return n, draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []
+
+
+@settings(max_examples=300, deadline=None)
+@given(planarity_graphs())
+def test_is_planar_matches_networkx(graph):
+    g = SimpleGraph(*graph)
+    assert g.is_planar() == nx.is_planar(to_nx(g))
 
 
 @settings(max_examples=200, deadline=None)

@@ -263,6 +263,28 @@ def test_abelian_subgroups_match_reclosing_each_extension(gens):
     assert group.abelian_subgroups() == found
 
 
+def test_abelian_subgroups_match_closing_each_cyclic_subgroup_per_extension():
+    # the reference closes <z> afresh at every extension, as one call did
+    # before the closures were kept for the length of the call
+    def per_extension(group):
+        found = {frozenset({0})}
+        work = list(found)
+        while work:
+            h = work.pop()
+            for z in set(range(group.order)).intersection(*map(group.centralizer, h)) - h:
+                cyclic = group.subgroup_closure([z])
+                ext = frozenset(group.table[x][p] for x in h for p in cyclic)
+                if ext not in found:
+                    found.add(ext)
+                    work.append(ext)
+        return found
+
+    for entry in catalog_entries():
+        group = entry.build()
+        if not group.is_abelian():
+            assert group.abelian_subgroups() == per_extension(group), entry.name
+
+
 def test_quotient_exponent():
     assert build("Q", 8).quotient_exponent() == 2
     assert build("D", 10).quotient_exponent() == 5
