@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .engine import commuting_graph
 from .fields import FIELDS, FieldContext, Mat2
@@ -240,8 +240,7 @@ def build(name: str, param: int | None = None) -> FiniteGroup:
 
 # -- the catalog -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One named group with its expected invariants."""
 
     name: str

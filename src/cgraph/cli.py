@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface, on argparse.
 
 JSON goes to stdout, human-readable summaries to stderr with --verbose.
 Exit codes: 0 success, 1 a verification assertion failed, 2 usage or input
@@ -7,11 +7,10 @@ error.
 
 from __future__ import annotations
 
+import argparse
 import sys
 from collections import Counter
 from pathlib import Path
-
-import click
 
 from . import catalog
 from .engine import commuting_graph, commuting_graph_of, report_to_json, to_json_text
@@ -22,34 +21,14 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 
-class InputError(click.ClickException):
-    """Bad input or a library error: one line on stderr, exit 2."""
-
-    exit_code = EXIT_USAGE
-
-
-class _Commands(click.Group):
-    """Reports any ValueError, bad input included, as an InputError."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-
-
 def _load_group(name, param, path) -> tuple[FiniteGroup, str]:
     if path is not None:
-        if name is not None:
-            raise click.UsageError("--file and --name are mutually exclusive")
         try:
             text = Path(path).read_text()
         except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}")
+            raise ValueError(f"cannot read {path}: {exc}")
         group = group_from_file_text(text)
         return group, group.name or Path(path).stem
-    if name is None:
-        raise click.UsageError("supply --name or --file")
     group = catalog.build(name, param)
     label = name if param is None else f"{name}{param}"
     return group, group.name or label
@@ -59,27 +38,9 @@ def _write(path, text):
     try:
         Path(path).write_text(text)
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}")
+        raise ValueError(f"cannot write {path}: {exc}")
 
 
-def _group_options(fn):
-    fn = click.option("--file", "path", type=click.Path(), default=None,
-                      help="group file (table or perm-generators format)")(fn)
-    fn = click.option("--param", type=int, default=None,
-                      help="family parameter, e.g. the group order for --name D")(fn)
-    fn = click.option("--name", default=None,
-                      help="catalog name, e.g. D, Q, SD, S, GL2 or Sz(2)")(fn)
-    return fn
-
-
-@click.group(cls=_Commands)
-def main():
-    """Genus of commuting graphs of finite non-abelian groups."""
-
-
-@main.command()
-@_group_options
-@click.option("--verbose", is_flag=True)
 def info(name, param, path, verbose):
     """Order, center, AC flag and basic invariant multisets of a group."""
     group, label = _load_group(name, param, path)
@@ -94,75 +55,110 @@ def info(name, param, path, verbose):
         "element_orders": {str(k): v for k, v in sorted(orders.items())},
         "centralizer_sizes": {str(k): v for k, v in sorted(centralizers.items())},
     }
-    click.echo(to_json_text(payload), nl=False)
+    sys.stdout.write(to_json_text(payload))
     if verbose:
-        click.echo(f"{label}: order {group.order}, |Z| = {len(group.center())}, "
-                   f"AC = {payload['is_ac']}", err=True)
+        print(f"{label}: order {group.order}, |Z| = {len(group.center())}, "
+              f"AC = {payload['is_ac']}", file=sys.stderr)
+    return 0
 
 
-@main.command()
-@_group_options
-@click.option("--verbose", is_flag=True)
 def genus(name, param, path, verbose):
     """Commuting-graph report with block decomposition and genus."""
     group, label = _load_group(name, param, path)
     report = commuting_graph(group)
-    click.echo(to_json_text(report_to_json(report, name=label)), nl=False)
+    sys.stdout.write(to_json_text(report_to_json(report, name=label)))
     if verbose:
         total = report.total
         desc = (f"genus {total.value}" if total.is_exact
                 else f"genus in [{total.lower}, {total.upper}]")
-        click.echo(f"{label}: {len(report.vertex_elements)} vertices, "
-                   f"{report.edge_count} edges, {desc}", err=True)
+        print(f"{label}: {len(report.vertex_elements)} vertices, "
+              f"{report.edge_count} edges, {desc}", file=sys.stderr)
+    return 0
 
 
-@main.command("export-dot")
-@_group_options
-@click.option("--out", type=click.Path(), required=True)
 def export_dot(name, param, path, out):
     """Write the commuting graph in DOT format."""
     group, label = _load_group(name, param, path)
     graph = commuting_graph_of(group)
     _write(out, graph.to_dot(name=label))
-    click.echo(to_json_text({"written": str(out), "vertices": graph.n,
-                             "edges": graph.edge_count}), nl=False)
+    sys.stdout.write(to_json_text({"written": str(out), "vertices": graph.n,
+                                   "edges": graph.edge_count}))
+    return 0
 
 
-@main.command("export-catalog")
-@click.option("--out", type=click.Path(), default=None,
-              help="write catalog.json here instead of stdout")
 def export_catalog(out):
     """Dump the group catalog with expected invariants."""
     text = catalog.catalog_json()
     if out is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
     else:
         _write(out, text)
-        click.echo(to_json_text({"written": str(out)}), nl=False)
+        sys.stdout.write(to_json_text({"written": str(out)}))
+    return 0
 
 
-@main.command()
-@click.argument("suite")
-@click.option("--verbose", is_flag=True)
 def verify(suite, verbose):
     """Run a theorem-verification suite: acyclic | planar | toroidal |
     formulas | bounds | all."""
-    if suite == "all":
-        names = list(SUITES)
-    elif suite in SUITES:
-        names = [suite]
-    else:
-        raise click.UsageError(
-            f"unknown suite {suite!r}; choose from {', '.join(SUITES)} or all")
+    names = list(SUITES) if suite == "all" else [suite]
     payload = run_suites(names)
     if verbose:
         for name in names:
             result = payload[name]
-            click.echo(f"{name}: {result['passed']}/{len(result['checks'])} passed",
-                       err=True)
-    click.echo(to_json_text(payload), nl=False)
-    if not payload["ok"]:
-        sys.exit(EXIT_VERIFY_FAILED)
+            print(f"{name}: {result['passed']}/{len(result['checks'])} passed",
+                  file=sys.stderr)
+    sys.stdout.write(to_json_text(payload))
+    return 0 if payload["ok"] else EXIT_VERIFY_FAILED
+
+
+def _parser(prog_name) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog_name, allow_abbrev=False,
+        description="Genus of commuting graphs of finite non-abelian groups.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run):
+        doc = " ".join(run.__doc__.split())
+        sub = commands.add_parser(run.__name__.replace("_", "-"), help=doc,
+                                  description=doc, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub
+
+    def group_options(sub):
+        source = sub.add_mutually_exclusive_group(required=True)
+        source.add_argument("--name", help="catalog name, e.g. D, Q, SD, S, GL2 or Sz(2)")
+        source.add_argument("--file", dest="path", metavar="PATH",
+                            help="group file (table or perm-generators format)")
+        sub.add_argument("--param", type=int,
+                         help="family parameter, e.g. the group order for --name D")
+        return sub
+
+    group_options(command(info)).add_argument("--verbose", action="store_true")
+    group_options(command(genus)).add_argument("--verbose", action="store_true")
+    group_options(command(export_dot)).add_argument(
+        "--out", metavar="PATH", required=True)
+    command(export_catalog).add_argument(
+        "--out", metavar="PATH", help="write catalog.json here instead of stdout")
+    sub = command(verify)
+    sub.add_argument("suite", choices=[*SUITES, "all"], metavar="SUITE")
+    sub.add_argument("--verbose", action="store_true")
+    return parser
+
+
+def main(args=None, prog_name="cgraph", standalone_mode=True):
+    """Run one command and give its exit code: standalone mode, the console
+    script's, exits with it, and otherwise it is returned."""
+    try:
+        options = vars(_parser(prog_name).parse_args(args))
+        code = options.pop("run")(**options)
+    except SystemExit as exc:   # argparse: --help, or a usage error
+        code = exc.code
+    except ValueError as exc:   # bad input or a library error
+        print(f"Error: {exc}", file=sys.stderr)
+        code = EXIT_USAGE
+    if standalone_mode:
+        sys.exit(code)
+    return code
 
 
 if __name__ == "__main__":

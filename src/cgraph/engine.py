@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .graphs import (
     GenusResult,
@@ -73,10 +73,7 @@ def genus_of_graph(g: SimpleGraph) -> GenusResult:
 
 # -- commuting graphs ------------------------------------------------------
 
-@dataclass(frozen=True)
-class CommutingGraphReport:
-    """Everything the genus engine derives from one group."""
-
+class _ReportFields(NamedTuple):
     group: FiniteGroup
     vertex_elements: tuple   # vertex index -> group element index
     edge_count: int
@@ -87,6 +84,11 @@ class CommutingGraphReport:
     total: GenusResult
     is_ac: bool
     heawood: HeawoodBounds | None   # the bounds of an exact genus
+
+
+class CommutingGraphReport(_ReportFields):
+    """Everything the genus engine derives from one group.  Declaring no
+    `__slots__` gives instances the `__dict__` that `graph` is cached in."""
 
     @cached_property
     def graph(self) -> SimpleGraph:
@@ -248,8 +250,7 @@ def heawood_clique_bound(g: int) -> int:
     return (7 + math.isqrt(1 + 48 * g)) // 2
 
 
-@dataclass(frozen=True)
-class HeawoodBounds:
+class HeawoodBounds(NamedTuple):
     """The bounds on clique size, center, abelian subgroups and group order."""
 
     h: int

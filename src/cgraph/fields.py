@@ -9,7 +9,7 @@ group catalog needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # q -> (p, k, monic irreducible reduction polynomial, lowest degree first,
 # including the leading 1).  Unique up to isomorphism at these sizes.
@@ -100,8 +100,7 @@ class FieldContext:
         return hash(self.q)
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(NamedTuple):
     """A 2x2 matrix over `ctx` with field codes as entries (row major: a b / c d)."""
 
     ctx: FieldContext

@@ -12,8 +12,8 @@ is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 # The most rotation systems, prod over vertices of (deg - 1)!, that the oracle
 # enumerates.  A system costs 8-11 us on 7- to 10-vertex blocks and 12-16 us on
@@ -274,8 +274,7 @@ def _planar_block(adj) -> bool:
         on |= set(zip(path, path[1:])) | set(zip(path[1:], path))
 
 
-@dataclass(frozen=True)
-class GenusResult:
+class GenusResult(NamedTuple):
     """Either an exact genus with a certificate, or a lower/upper interval;
     an exact genus is also its own interval."""
 
@@ -284,7 +283,7 @@ class GenusResult:
     certificate: str | None = None  # exact: how the value was obtained
     lower: int | None = None
     upper: int | None = None
-    provenance: tuple = field(default_factory=tuple)  # bounds: sources
+    provenance: tuple = ()          # bounds: sources
 
     @classmethod
     def exact(cls, value, certificate):

@@ -128,7 +128,9 @@ class FiniteGroup:
         by every z in C(H) \\ H, so the cyclic subgroups are the extensions of
         {0}, and every abelian subgroup is reached through a chain of its own
         generators.  z centralizes H, so the extension <H, z> is H<z>.  Each
-        <z> is closed once, however many subgroups z extends.
+        <z> is closed once, however many subgroups z extends, and H<z> is
+        formed once per distinct <z>, however many of its generators lie in
+        C(H) \\ H.
         """
         cent, table = self._centralizers, self.table
         cyclic = {}
@@ -136,10 +138,13 @@ class FiniteGroup:
         work = list(found)
         while work:
             h = work.pop()
+            extenders = set()
             for z in set(range(self.order)).intersection(*(cent[x] for x in h)) - h:
                 if z not in cyclic:
                     cyclic[z] = self.subgroup_closure([z])
-                ext = frozenset(table[x][p] for x in h for p in cyclic[z])
+                extenders.add(cyclic[z])
+            for c in extenders:
+                ext = frozenset(table[x][p] for x in h for p in c)
                 if ext not in found:
                     found.add(ext)
                     work.append(ext)

@@ -1,13 +1,32 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
+from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
 
 from cgraph import SimpleGraph
+from cgraph.cli import main
 
 # a reduced Latin square of order 5 that is not a group table
 LATIN5 = ("order 5\ntable\n0 1 2 3 4\n1 0 3 4 2\n2 3 4 0 1\n"
           "3 4 1 2 0\n4 2 0 1 3\n")
+
+
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def invoke(args):
+    """Runs `cgraph ARGS...` in this process; `main` returns the exit code of
+    usage errors and --help too, so no SystemExit leaves it."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(args, standalone_mode=False)
+    return Result(code, out.getvalue(), err.getvalue())
 
 
 @st.composite

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -210,7 +209,7 @@ def test_verify_every_entry(entry):
 def test_report_for_checks_the_entry(monkeypatch, field, value, message):
     from cgraph import catalog
 
-    patched = [replace(e, **{field: value}) if e.name == "S3" else e
+    patched = [e._replace(**{field: value}) if e.name == "S3" else e
                for e in catalog._ENTRIES]
     monkeypatch.setattr(catalog, "_ENTRIES", patched)
     report_for.cache_clear()

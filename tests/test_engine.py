@@ -1,6 +1,5 @@
 import math
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -297,8 +296,8 @@ def test_heawood_bounds_fields():
 @example(8, 3, 512)
 @example(8, 30, 8 ** 30)
 def test_admits_order_matches_the_full_power(base, exponent, order):
-    bounds = replace(heawood_bounds(0, 2), order_bound_base=base,
-                     order_bound_exponent=exponent)
+    bounds = heawood_bounds(0, 2)._replace(order_bound_base=base,
+                                           order_bound_exponent=exponent)
     assert bounds.admits_order(order) == (order < base ** exponent)
 
 
@@ -337,7 +336,7 @@ def assert_bound_rows_match_brute_force(report):
         bounds = heawood_bounds(g, group.quotient_exponent())
         h = bounds.h
         commuting, _, abelian, _ = check_bounds_against_group(
-            replace(report, heawood=bounds))
+            report._replace(heawood=bounds))
         assert (commuting["observed"], commuting["ok"]) == (d, d <= h)
         # any maximiser, whichever a walk over the subgroups meets first
         assert {(len(a), h + len(a & center)) for a in maximisers} == \

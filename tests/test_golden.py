@@ -14,9 +14,8 @@ whose labels go through the direct-product pair and the quotient coset labels.
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from cgraph.cli import main
+from conftest import invoke
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -37,27 +36,27 @@ CASES = {
 
 @pytest.mark.parametrize("case", CASES)
 def test_genus_stdout_matches_golden(case):
-    result = CliRunner().invoke(main, ["genus", *CASES[case]])
-    assert result.exit_code == 0, result.output
+    result = invoke(["genus", *CASES[case]])
+    assert result.exit_code == 0, result.stderr
     assert result.stdout == (GOLDEN / f"{case}.json").read_text()
 
 
 def test_verify_all_stdout_matches_golden():
-    result = CliRunner().invoke(main, ["verify", "all"])
-    assert result.exit_code == 0, result.output
+    result = invoke(["verify", "all"])
+    assert result.exit_code == 0, result.stderr
     assert result.stdout == (GOLDEN / "verify_all.json").read_text()
 
 
 def test_export_catalog_stdout_matches_golden():
-    result = CliRunner().invoke(main, ["export-catalog"])
-    assert result.exit_code == 0, result.output
+    result = invoke(["export-catalog"])
+    assert result.exit_code == 0, result.stderr
     assert result.stdout == (GOLDEN / "catalog.json").read_text()
 
 
 def assert_export_dot_matches_golden(tmp_path, case, args):
     out = tmp_path / f"{case}.dot"
-    result = CliRunner().invoke(main, ["export-dot", *args, "--out", str(out)])
-    assert result.exit_code == 0, result.output
+    result = invoke(["export-dot", *args, "--out", str(out)])
+    assert result.exit_code == 0, result.stderr
     assert out.read_text() == (GOLDEN / f"{case}.dot").read_text()
 
 

@@ -1,18 +1,17 @@
 import json
 
 import pytest
-from click.testing import CliRunner
 
 from cgraph import cli, verify
-from cgraph.cli import main
 from cgraph.verify import SUITES, run_suites
+from conftest import invoke
 
 
 @pytest.mark.parametrize("suite", [*SUITES, "all"])
 def test_run_suites_is_what_verify_prints(suite):
     names = list(SUITES) if suite == "all" else [suite]
-    result = CliRunner().invoke(main, ["verify", suite])
-    assert result.exit_code == 0, result.output
+    result = invoke(["verify", suite])
+    assert result.exit_code == 0, result.stderr
     assert json.loads(result.stdout) == run_suites(names)
 
 
@@ -35,7 +34,7 @@ def test_cli_shares_the_suite_table():
 
 
 def test_verbose_counts_go_to_stderr():
-    result = CliRunner().invoke(main, ["verify", "planar", "--verbose"])
+    result = invoke(["verify", "planar", "--verbose"])
     assert result.exit_code == 0
     payload = json.loads(result.stdout)
     assert result.stderr == f"planar: {payload['planar']['passed']}/45 passed\n"
