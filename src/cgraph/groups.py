@@ -1,41 +1,57 @@
-"""Finite groups as complete multiplication tables.
+"""Finite groups as generator closures: right actions and a BFS tree.
 
 Every group is built by one generator closure, `group_from_operation`:
 permutations, 2x2 matrices over a finite field, element models, direct
-products and quotients only supply its generators and product, so its tables
-are group tables by construction; only a table read from a file is checked.
-A group's table and element order never change once built.  Elements are in
-BFS order from the identity over the generators in the order given, which
-keeps labels, rendered on first read, deterministic.
+products and quotients only supply its generators and product, so what it
+stores is a group by construction; only a table read from a file is checked.
+A closure stores, per generator s, the index map x -> x*s and each element's
+BFS parent, n*|S| entries in all; its multiplication table is filled from
+them only if something reads it.  Elements are in BFS order from the
+identity over the generators in the order given, which keeps labels,
+rendered on first read, deterministic.  A group never changes once built.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+from collections import defaultdict
 from functools import cached_property
 from itertools import compress
+from math import gcd
 
 from .fields import FieldContext, Mat2
 
-# The largest group order.  A build peaks at about 16 B per table entry (GL(2,9),
-# 5760 elements, peaks at 548 MiB), so 6000 elements bound it at about 590 MiB.
-# The closure checks it before it pays the n^2 table fill, and a group file at
-# its `order n` header.
+# The largest group order.  A closure stores n*|S| action entries and, once
+# asked, k*n centralizer entries for k conjugacy classes (GL(2,9), 5760
+# elements, reports its genus at about 20 MiB peak).  The n^2 table is what
+# the limit bounds: a table file is read as one, and the closure fills its own
+# on first read, for subgroups, quotients and products, at about 16 B an entry
+# (GL(2,9) peaks at 529 MiB), so 6000 elements bound either at about 590 MiB.
+# The closure checks the limit as it grows, and a group file at its `order n`
+# header.
 MAX_ORDER = 6000
 
 
 class FiniteGroup:
-    """A finite group given by its full multiplication table.
+    """A finite group given by the right actions of its generators.
 
-    `table[i][j]` is the index of the product of elements i and j; index 0 is
-    the identity.  Labels are purely cosmetic.  The table is taken as given:
-    one from outside the closure is checked first, by `group_from_table`.
+    `_tree` holds `right[s][x]`, the index of x*s for generator s, the BFS
+    tree `parents[y] = (p, s)` with y = p*s (None at the identity, index 0)
+    and the elements in BFS order.  A closure passes `right` and `parents`,
+    its elements numbered in BFS order; a `table` (`table[i][j]` the index of
+    i*j) is taken as given, and its tree is read from it on first use.  One
+    from outside the closure is checked first, by `group_from_table`.
+    Labels are purely cosmetic.
     """
 
-    def __init__(self, table, labels=None, name=None):
-        self.order = len(table)
-        self.table = [tuple(row) for row in table]
+    def __init__(self, table=None, labels=None, name=None, *, right=None, parents=None):
+        if table is not None:
+            self.table = [tuple(row) for row in table]
+            self.order = len(self.table)
+        else:
+            self.order = len(parents)
+            self._tree = (right, parents, range(self.order))
         self.name = name
         self._labels = labels
 
@@ -46,33 +62,203 @@ class FiniteGroup:
             return [str(i) for i in range(self.order)]
         return list(self._labels)
 
+    @cached_property
+    def _tree(self):
+        """A table's (right, parents, bfs): right[s] is the column of the
+        s-th greedy generator, and the BFS over them keeps every index."""
+        right = [[row[g] for row in self.table] for g in self.generators()]
+        parents, bfs = [None] * self.order, [0]
+        for p in bfs:  # `bfs` grows while it is walked
+            for s, act in enumerate(right):
+                y = act[p]
+                if y and parents[y] is None:
+                    parents[y] = (p, s)
+                    bfs.append(y)
+        return right, parents, bfs
+
+    @cached_property
+    def table(self) -> list:
+        """`table[x][y]`, the index of x*y, filled by lookup on first read:
+        column y = p*s is column p mapped by right[s].  Only arbitrary
+        products on small groups read it: subgroups, quotients, products."""
+        right, parents, bfs = self._tree
+        columns = [None] * self.order
+        columns[0] = range(self.order)
+        for y in bfs[1:]:
+            p, s = parents[y]
+            columns[y] = list(map(right[s].__getitem__, columns[p]))
+        return list(zip(*columns))
+
     # -- basic arithmetic -------------------------------------------------
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
 
     def element_order(self, x: int) -> int:
-        order, acc = 1, x
-        while acc != 0:
-            acc = self.mul(acc, x)
-            order += 1
-        return order
+        return self._power_orders[0][x]
+
+    # -- conjugacy classes -----------------------------------------------
+
+    @cached_property
+    def _conjugations(self) -> list:
+        """Per generator s, the map x -> s^-1 x s: right[s] after the inverse
+        of y -> s*y, which is filled along the BFS tree, s*y = (s*p)*t for
+        y = p*t."""
+        right, parents, bfs = self._tree
+        conj = []
+        for act in right:
+            left = [0] * self.order
+            left[0] = act[0]
+            for y in bfs[1:]:
+                p, t = parents[y]
+                left[y] = right[t][left[p]]
+            inverse = [0] * self.order
+            for y, sy in enumerate(left):
+                inverse[sy] = y
+            conj.append(list(map(act.__getitem__, inverse)))
+        return conj
+
+    @cached_property
+    def _class_of(self) -> list:
+        """Per element, its conjugacy class: the orbit under the generators'
+        conjugations, a list led by its least member, shared by its members."""
+        class_of = [None] * self.order
+        for r in range(self.order):
+            if class_of[r] is None:
+                orbit = class_of[r] = [r]
+                for x in orbit:  # `orbit` grows while it is walked
+                    for c in self._conjugations:
+                        y = c[x]
+                        if class_of[y] is None:
+                            class_of[y] = orbit
+                            orbit.append(y)
+        return class_of
+
+    def _reps(self, size=1) -> list:
+        """The least member of each class of at least `size` elements, ascending."""
+        return [x for x, orbit in enumerate(self._class_of)
+                if orbit[0] == x and len(orbit) >= size]
+
+    def _powers(self, r) -> list:
+        """r, r^2, .., up to the identity, each the last times r's word."""
+        right, parents, _ = self._tree
+        word = []
+        y = r
+        while y:
+            y, t = parents[y]
+            word.append(right[t])
+        word.reverse()
+        powers = [r]
+        while powers[-1]:
+            acc = powers[-1]
+            for act in word:
+                acc = act[acc]
+            powers.append(acc)
+        return powers
+
+    def _conjugators(self, reps, done):
+        """(r, the map y -> r^-1 y r) for each r in `reps`, composed along
+        r's BFS-tree path: for r = p*t it is p's map, then t's conjugation.
+        The paths are walked as one tree, depth first and smaller index
+        first, and a map is composed only when a rep below it is reached, so
+        a prefix that several reps share is composed once.  A rep r with
+        `done[r]` true by then is passed over.  A composed map keeps no link
+        to its parent's, so only the maps of one path are held."""
+        conj, parents = self._conjugations, self._tree[1]
+        wanted, kids, seen = set(reps), defaultdict(list), {0}
+        for r in reps:
+            while r not in seen:
+                seen.add(r)
+                p = parents[r][0]
+                kids[p].append(r)
+                r = p
+        stack = [[list(range(self.order)), None, 0]]  # [map, parent cell, node]
+        while stack:
+            cell = stack.pop()
+            y = cell[2]
+            if y in wanted and not done[y]:
+                pending = []
+                while cell[0] is None:
+                    pending.append(cell)
+                    cell = cell[1]
+                m = cell[0]
+                for cell in reversed(pending):
+                    m = cell[0] = list(map(conj[parents[cell[2]][1]].__getitem__, m))
+                    cell[1] = None
+                yield y, m
+            stack.extend([None, cell, k] for k in sorted(kids[y], reverse=True))
 
     # -- structural queries ----------------------------------------------
 
     @cached_property
     def _centralizers(self):
-        """Row x is C(x), the ascending tuple of the y with xy = yx."""
-        ids = list(range(self.order))  # one int object per index, shared by the rows
-        return [tuple(compress(ids, map(operator.eq, row, col)))
-                for row, col in zip(self.table, zip(*self.table))]
+        """Row x is C(x), the ascending tuple of the y with xy = yx.
+
+        A central element's is the whole group.  For one element r of each
+        other class, C(r) is the fixed points of y -> r^-1 y r, the
+        generators' conjugations composed along r's word, and it is spread
+        over the class, C(c[x]) = c(C(x)).  A power p of r has C(p) >= C(r),
+        so C(p) = C(r) if the classes of p and r have the same size, and
+        p's class is settled with r's."""
+        n, conj, class_of = self.order, self._conjugations, self._class_of
+        cent, whole = [None] * n, tuple(range(n))  # one int object per index
+        for z in self.center():
+            cent[z] = whole
+
+        images = {}  # (id of a stored C(x), s) -> c_s(C(x)), one object each
+
+        def spread(x):  # over x's class, from x
+            todo = [x]
+            for x in todo:
+                for s, c in enumerate(conj):
+                    y = c[x]
+                    if cent[y] is None:
+                        key = (id(cent[x]), s)
+                        if key not in images:
+                            images[key] = tuple(sorted(map(c.__getitem__, cent[x])))
+                        cent[y] = images[key]
+                        todo.append(y)
+
+        for r, m in self._conjugators(self._reps(2), cent):
+            known = tuple(compress(whole, map(operator.eq, m, whole)))
+            same = [p for p in self._powers(r)
+                    if cent[p] is None and len(class_of[p]) == len(class_of[r])]
+            for p in same:  # r is its own first power
+                cent[p] = known
+            for p in same:
+                spread(p)
+        return cent
+
+    @cached_property
+    def _power_orders(self):
+        """Per element its order, and the largest order of an element modulo
+        Z.  Orders are class functions, and one walk over r's powers settles
+        every power of r: if r has order k, r^j has order k / gcd(j, k).  So
+        only the representatives that no earlier walk reached are walked, in
+        ascending order; modulo Z, no power of r has a larger order than r."""
+        n, z, class_of = self.order, set(self.center()), self._class_of
+        orders, exponent = [0] * n, 1
+        for r in self._reps():
+            if not orders[r]:
+                powers = self._powers(r)
+                k = len(powers)
+                exponent = max(exponent, next(j for j, p in enumerate(powers, 1) if p in z))
+                for j, p in enumerate(powers, 1):
+                    if not orders[p]:
+                        for y in class_of[p]:
+                            orders[y] = k // gcd(j, k)
+        return orders, exponent
 
     def centralizer(self, x: int) -> tuple:
         return self._centralizers[x]
 
+    @cached_property
+    def _center(self) -> tuple:
+        return tuple(x for x, orbit in enumerate(self._class_of) if len(orbit) == 1)
+
     def center(self) -> tuple:
-        """The x whose centralizer is the whole group."""
-        return tuple(x for x, c in enumerate(self._centralizers) if len(c) == self.order)
+        """The x that form a conjugacy class of their own, ascending."""
+        return self._center
 
     def is_abelian(self) -> bool:
         return len(self.center()) == self.order
@@ -100,7 +286,8 @@ class FiniteGroup:
         if self.is_abelian():
             raise ValueError("centralizer family requires a non-abelian group")
         z = set(self.center())
-        distinct = {c for c in self._centralizers if len(c) < self.order}
+        stored = {id(c): c for c in self._centralizers}.values()  # shared tuples once
+        distinct = {c for c in stored if len(c) < self.order}
         return tuple(sorted(tuple(y for y in c if y not in z) for c in distinct))
 
     # -- subgroup machinery ----------------------------------------------
@@ -130,7 +317,8 @@ class FiniteGroup:
         generators.  z centralizes H, so the extension <H, z> is H<z>.  Each
         <z> is closed once, however many subgroups z extends, and H<z> is
         formed once per distinct <z>, however many of its generators lie in
-        C(H) \\ H.
+        C(H) \\ H: once <z> is closed, it is filed under each of its
+        generators z^k, gcd(k, |z|) = 1.
         """
         cent, table = self._centralizers, self.table
         cyclic = {}
@@ -141,7 +329,12 @@ class FiniteGroup:
             extenders = set()
             for z in set(range(self.order)).intersection(*(cent[x] for x in h)) - h:
                 if z not in cyclic:
-                    cyclic[z] = self.subgroup_closure([z])
+                    c = self.subgroup_closure([z])
+                    acc = z
+                    for k in range(1, len(c)):
+                        if gcd(k, len(c)) == 1:
+                            cyclic[acc] = c
+                        acc = table[acc][z]
                 extenders.add(cyclic[z])
             for c in extenders:
                 ext = frozenset(table[x][p] for x in h for p in c)
@@ -183,26 +376,10 @@ class FiniteGroup:
             name=f"{self.name}/N" if self.name else None)
 
     def quotient_exponent(self) -> int:
-        """Maximum element order in G/Z(G): the largest least k >= 1 with x^k in Z.
-
-        One walk over x's powers x, x^2, .., x^(k-1) settles them all: x^j has
-        order k / gcd(j, k) <= k in G/Z, so none of them can raise the maximum.
-        """
+        """Maximum element order in G/Z(G): the largest least k >= 1 with x^k in Z."""
         if self.is_abelian():
             raise ValueError("quotient exponent requires a non-abelian group")
-        t = self.table
-        z = set(self.center())
-        done = set(z)
-        exponent = 1
-        for x in range(self.order):
-            if x not in done:
-                k, acc = 1, x
-                while acc not in z:
-                    done.add(acc)
-                    acc = t[acc][x]
-                    k += 1
-                exponent = max(exponent, k)
-        return exponent
+        return self._power_orders[1]
 
     def __repr__(self):
         name = self.name or "FiniteGroup"
@@ -240,9 +417,10 @@ def group_from_operation(generators, op, identity, label=str, name=None) -> Fini
     """The group generated under `op`, by BFS from the identity over right
     multiplication by the generators in the order given.
 
-    Only the n*|S| products x*s use `op`.  Each b but the identity is
-    parent(b)*s, so the table is filled by lookup, a*b = right[s][a*parent(b)].
-    So `op` must be a group operation on what the generators produce, with
+    Only the n*|S| products x*s use `op`; the group keeps them, as right[s],
+    with each element's BFS parent.  Each b but the identity is parent(b)*s,
+    so every other product is a lookup, a*b = right[s][a*parent(b)].  So `op`
+    must be a group operation on what the generators produce, with
     `identity` its identity; nothing checks that.
     """
     gens = list(generators)
@@ -260,10 +438,8 @@ def group_from_operation(generators, op, identity, label=str, name=None) -> Fini
                 elements.append(h)
                 parents.append((x, s))
             right[s].append(index[h])
-    columns = [range(len(elements))]
-    for x, s in parents[1:]:
-        columns.append(list(map(right[s].__getitem__, columns[x])))
-    return FiniteGroup(list(zip(*columns)), map(label, elements), name=name)
+    return FiniteGroup(labels=map(label, elements), name=name,
+                       right=right, parents=parents)
 
 
 def group_from_permutations(generators, name=None) -> FiniteGroup:

@@ -390,3 +390,19 @@ def test_unwritable_out_exits_2(tmp_path, args):
     out = tmp_path / "missing" / "out.txt"
     result = invoke(args + ["--out", str(out)])
     assert one_line_error(result).startswith(f"Error: cannot write {out}")
+
+
+@pytest.mark.parametrize("command", ["genus", "info"])
+@pytest.mark.parametrize("name, param", [("PSL2", 8), ("GL2", 5), ("D", 400)])
+def test_reports_never_fill_the_table(monkeypatch, command, name, param):
+    """`genus` and `info` read centralizers, orders and the center class by
+    class, so the n^2 table of a fresh build is never filled."""
+    from cgraph import catalog
+    built, uncached = [], catalog.build.__wrapped__
+
+    def fresh(*args):
+        built.append(uncached(*args))
+        return built[-1]
+    monkeypatch.setattr(catalog, "build", fresh)
+    invoke_json([command, "--name", name, "--param", str(param)])
+    assert built and all("table" not in vars(group) for group in built)

@@ -1,10 +1,13 @@
 import itertools
+import operator
 import random
 import tracemalloc
 from collections import Counter
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgraph import (
     FiniteGroup,
@@ -495,3 +498,102 @@ def test_commutation_queries_match_pairwise_table(gens):
 def test_non_associative_table_is_rejected():
     with pytest.raises(ValueError, match="line 2: table is not associative"):
         group_from_file_text(LATIN5)
+
+
+def scanned_centralizers(group):
+    """The oracle: row x against column x of the full table, the scan that
+    gave every centralizer before they were found class by class."""
+    ids = list(range(group.order))
+    return [tuple(compress(ids, map(operator.eq, row, col)))
+            for row, col in zip(group.table, zip(*group.table))]
+
+
+def assert_class_functions_match_the_table(group):
+    """Centralizers, center, element orders and the quotient exponent
+    against the oracle scan and power walks over the table."""
+    t, n = group.table, group.order
+    cent = scanned_centralizers(group)
+    assert [group.centralizer(x) for x in range(n)] == cent
+    center = tuple(x for x in range(n) if len(cent[x]) == n)
+    assert group.center() == center
+
+    def order(x, stop):
+        k, acc = 1, x
+        while acc not in stop:
+            acc = t[acc][x]
+            k += 1
+        return k
+    assert [group.element_order(x) for x in range(n)] == [order(x, {0}) for x in range(n)]
+    if len(center) < n:
+        z = set(center)
+        assert group.quotient_exponent() == max(order(x, z) for x in range(n))
+
+
+def relabelled_table(group, relabel):
+    """The table of `group` with element x renamed relabel[x]."""
+    n = group.order
+    table = [[0] * n for _ in range(n)]
+    for x, row in enumerate(group.table):
+        for y, xy in enumerate(row):
+            table[relabel[x]][relabel[y]] = relabel[xy]
+    return table
+
+
+@settings(max_examples=60, deadline=None)
+@given(permutation_generators(), st.randoms(use_true_random=False))
+def test_class_by_class_centralizers_match_the_table_scan(gens, rnd):
+    """A closure, and a table file of it with its non-identity indices
+    shuffled, so that the tree read from the table is not in index order."""
+    group = group_from_permutations(gens)
+    assert_class_functions_match_the_table(group)
+    n = group.order
+    shuffled = group_from_table(relabelled_table(group, [0] + rnd.sample(range(1, n), n - 1)))
+    assert "_tree" not in vars(shuffled)  # read from the table on first use
+    assert_class_functions_match_the_table(shuffled)
+
+
+@pytest.mark.parametrize("entry", catalog_entries(), ids=lambda e: e.name)
+def test_catalog_centralizers_match_the_table_scan(entry):
+    group = entry.build()
+    assert_class_functions_match_the_table(group)
+    n = group.order
+    relabel = [0] + random.Random(n).sample(range(1, n), n - 1)
+    assert_class_functions_match_the_table(FiniteGroup(relabelled_table(group, relabel)))
+
+
+def test_table_file_tree_keeps_the_indices():
+    """The tree of a table is its BFS over the greedy generators' columns,
+    with each index kept: every y = p*s is a table entry."""
+    group = build("S", 4)
+    n = group.order
+    relabel = [0] + random.Random(1).sample(range(1, n), n - 1)
+    shuffled = FiniteGroup(relabelled_table(group, relabel))
+    right, parents, bfs = shuffled._tree
+    gens = shuffled.generators()
+    assert right == [[row[g] for row in shuffled.table] for g in gens]
+    assert sorted(bfs) == list(range(n)) and bfs != list(range(n))
+    for y in bfs[1:]:
+        p, s = parents[y]
+        assert bfs.index(p) < bfs.index(y) and shuffled.table[p][gens[s]] == y
+
+
+def test_abelian_subgroups_close_each_cyclic_subgroup_once(monkeypatch):
+    """D400 has 211 non-trivial cyclic subgroups, 11 of rotations and 200 of
+    reflections, against 399 generators of them."""
+    calls = []
+    closure = FiniteGroup.subgroup_closure
+
+    def counted(self, seed):
+        calls.append(seed)
+        return closure(self, seed)
+    monkeypatch.setattr(FiniteGroup, "subgroup_closure", counted)
+    group = build("D", 400)
+    group.abelian_subgroups()
+    assert len(calls) == 211
+    assert len({closure(group, seed) for seed in calls}) == 211  # all distinct
+
+
+def test_center_is_computed_once():
+    group = build("Q", 12)
+    assert group.center() is group.center()
+    assert isinstance(group.center(), tuple)
