@@ -3,9 +3,11 @@
 Each entry records how to build the group together with its expected
 invariants (order, center size, AC flag, genus where a closed form pins it
 down).  A presented group is built from generators that satisfy its defining
-relations and reach its full order: permutations (`_holonomy` builds the split
-metacyclic ones), 2x2 matrices or the element model of Q_{4n}.  Products are
-built from their factors, and the central product D8*Z4 as a quotient.
+relations and reach its full order: permutations, 2x2 matrices, the element
+model of Q_{4n}, or the affine maps x -> m*x + i of Z_n, stored as pairs
+(i, m), from which `_holonomy` builds the cyclic and split metacyclic groups.
+Products are built from their factors, and the central product D8*Z4 as a
+quotient.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import NamedTuple
 
 from .engine import commuting_graph
 from .fields import FIELDS, FieldContext, Mat2
-from .groups import MAX_ORDER, FiniteGroup, direct_product, group_from_operation, group_from_permutations, group_from_matrices
+from .groups import MAX_ORDER, FiniteGroup, direct_product, group_from_operation, group_from_permutations, group_from_matrices, perm_cycle_label
 
 CLASSIFICATION_TAGS = ("acyclic-list", "planar-list", "toroidal-list",
                        "counterexample", "counterexample-candidate")
@@ -26,15 +28,22 @@ CLASSIFICATION_TAGS = ("acyclic-list", "planar-list", "toroidal-list",
 # -- elementary builders ---------------------------------------------------
 
 def _cyclic(n):
-    return group_from_permutations([tuple((i + 1) % n for i in range(n))],
-                                   name=f"Z{n}")
+    # n < 1 builds the trivial group, which `build` refuses by its order formula
+    return _holonomy(max(n, 1), 1, f"Z{n}")
 
 
 def _holonomy(n, mult, name):
-    """Z_n semidirect a cyclic group acting by x -> mult * x, as permutations."""
-    rot = tuple((i + 1) % n for i in range(n))
-    act = tuple((mult * i) % n for i in range(n))
-    return group_from_permutations([rot, act], name=name)
+    """Z_n semidirect a cyclic group acting by x -> mult * x: the affine maps
+    x -> m*x + i of Z_n, each stored as (i, m), generated by (1, 1) and
+    (0, mult).  Each labels as its permutation of Z_n in cycle notation."""
+    def op(a, b):  # (a o b)(x) = a(b(x))
+        return (a[1] * b[0] + a[0]) % n, a[1] * b[1] % n
+
+    def label(elem):
+        i, m = elem
+        return perm_cycle_label([(m * x + i) % n for x in range(n)])
+
+    return group_from_operation([(1, 1), (0, mult)], op, (0, 1 % n), label, name=name)
 
 
 def _dihedral(order):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import operator
 import re
-from collections import defaultdict
 from functools import cached_property
 from itertools import compress
 from math import gcd
@@ -156,38 +155,6 @@ class FiniteGroup:
             powers.append(acc)
         return powers
 
-    def _conjugators(self, reps, done):
-        """(r, the map y -> r^-1 y r) for each r in `reps`, composed along
-        r's BFS-tree path: for r = p*t it is p's map, then t's conjugation.
-        The paths are walked as one tree, depth first and smaller index
-        first, and a map is composed only when a rep below it is reached, so
-        a prefix that several reps share is composed once.  A rep r with
-        `done[r]` true by then is passed over.  A composed map keeps no link
-        to its parent's, so only the maps of one path are held."""
-        conj, parents = self._conjugations, self._tree[1]
-        wanted, kids, seen = set(reps), defaultdict(list), {0}
-        for r in reps:
-            while r not in seen:
-                seen.add(r)
-                p = parents[r][0]
-                kids[p].append(r)
-                r = p
-        stack = [[list(range(self.order)), None, 0]]  # [map, parent cell, node]
-        while stack:
-            cell = stack.pop()
-            y = cell[2]
-            if y in wanted and not done[y]:
-                pending = []
-                while cell[0] is None:
-                    pending.append(cell)
-                    cell = cell[1]
-                m = cell[0]
-                for cell in reversed(pending):
-                    m = cell[0] = list(map(conj[parents[cell[2]][1]].__getitem__, m))
-                    cell[1] = None
-                yield y, m
-            stack.extend([None, cell, k] for k in sorted(kids[y], reverse=True))
-
     # -- structural queries ----------------------------------------------
 
     @cached_property
@@ -195,12 +162,14 @@ class FiniteGroup:
         """Row x is C(x), the ascending tuple of the y with xy = yx.
 
         A central element's is the whole group.  For one element r of each
-        other class, C(r) is the fixed points of y -> r^-1 y r, the
-        generators' conjugations composed along r's word, and it is spread
-        over the class, C(c[x]) = c(C(x)).  A power p of r has C(p) >= C(r),
-        so C(p) = C(r) if the classes of p and r have the same size, and
-        p's class is settled with r's."""
+        other class, one walk of the BFS tree gives r's conjugate by every
+        element, x[y] = y^-1 r y, since x[y] = t^-1 x[p] t for y = p*t, and
+        C(r) is the y with x[y] = r (orbit-stabilizer over a Schreier tree).
+        C(r) is spread over r's class, C(c[x]) = c(C(x)).  A power p of r
+        has C(p) >= C(r), so C(p) = C(r) if the classes of p and r have the
+        same size, and p's class is settled with r's."""
         n, conj, class_of = self.order, self._conjugations, self._class_of
+        _, parents, bfs = self._tree
         cent, whole = [None] * n, tuple(range(n))  # one int object per index
         for z in self.center():
             cent[z] = whole
@@ -219,8 +188,14 @@ class FiniteGroup:
                         cent[y] = images[key]
                         todo.append(y)
 
-        for r, m in self._conjugators(self._reps(2), cent):
-            known = tuple(compress(whole, map(operator.eq, m, whole)))
+        for r in self._reps(2):
+            if cent[r] is not None:
+                continue
+            x = [r] * n
+            for y in bfs[1:]:
+                p, t = parents[y]
+                x[y] = conj[t][x[p]]
+            known = tuple(compress(whole, map(r.__eq__, x)))
             same = [p for p in self._powers(r)
                     if cent[p] is None and len(class_of[p]) == len(class_of[r])]
             for p in same:  # r is its own first power

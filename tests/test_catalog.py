@@ -110,6 +110,26 @@ def test_metacyclic_builds_match_the_written_out_generators(family, orders):
             (reference.table, reference.labels, reference.name), order
 
 
+def _rotation_and_multiplier(n, mult, name):
+    """The permutations x -> x + 1 and x -> mult*x of Z_n that `_holonomy`
+    closed before it stored each element as an affine map (i, m)."""
+    rot = tuple((i + 1) % n for i in range(n))
+    act = tuple((mult * i) % n for i in range(n))
+    return group_from_permutations([rot, act], name=name)
+
+
+@pytest.mark.parametrize("name, param, n, mult", [
+    *[("Z", n, n, 1) for n in (1, 2, 3, 4, 5, 6, 12, 30, 97, 256)],
+    ("D", 6, 3, -1), ("D", 202, 101, -1), ("SD", 16, 8, 3), ("SD", 256, 128, 63),
+    ("Sz(2)", None, 5, 2), ("Z7:Z3", None, 7, 2), ("M16", None, 8, 5),
+    ("27_exp9", None, 9, 4)])
+def test_affine_model_matches_the_permutations(name, param, n, mult):
+    group = build(name, param)
+    reference = _rotation_and_multiplier(n, mult, group.name)
+    assert (group.order, group.labels, group.table) == \
+        (reference.order, reference.labels, reference.table)
+
+
 def test_named_constructions_orders_and_centers():
     expected = {
         "Sz(2)": (20, 1), "Z7:Z3": (21, 1), "M16": (16, 4),

@@ -561,6 +561,17 @@ def test_catalog_centralizers_match_the_table_scan(entry):
     assert_class_functions_match_the_table(FiniteGroup(relabelled_table(group, relabel)))
 
 
+@pytest.mark.parametrize("name, order", [("D", 400), ("Q", 400), ("SD", 256)])
+def test_deep_bfs_trees_match_the_table_scan(name, order):
+    """The genus-dihedral groups, whose BFS words run 35 to 101 generators
+    deep, against at most 11 for a catalog entry's (S5).  The closure, and
+    a table file of it with its indices shuffled."""
+    group = build(name, order)
+    assert_class_functions_match_the_table(group)
+    relabel = [0] + random.Random(order).sample(range(1, order), order - 1)
+    assert_class_functions_match_the_table(group_from_table(relabelled_table(group, relabel)))
+
+
 def test_table_file_tree_keeps_the_indices():
     """The tree of a table is its BFS over the greedy generators' columns,
     with each index kept: every y = p*s is a table entry."""
