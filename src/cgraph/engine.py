@@ -22,6 +22,7 @@ from .graphs import (
     genus_lower_bound_euler,
     genus_oracle,
     genus_upper_bound_betti,
+    max_clique,
 )
 from .groups import FiniteGroup
 
@@ -296,13 +297,20 @@ def check_bounds_against_group(report: CommutingGraphReport) -> list:
     - G is non-abelian, so a > |Z|, and equality forces k > 1 and
       B meet Z = Z: every maximiser has order a and limit h + |Z|.
     - Some B has |B| > h + |B meet Z| iff a - |Z| > h.
+    So a = w + |Z| with w the clique number of the commuting graph.  An
+    AC-group's graph is the disjoint union of the cliques C(x) \\ Z (see
+    `_family_blocks`), so there w is the largest |C(x)| - |Z|; any other
+    group's w is read from a maximum clique of its built graph.
     """
     bounds = report.heawood
     if bounds is None:
         raise ValueError("bound checks need an exact genus")
     group = report.group
-    a = max(map(len, group.abelian_subgroups()))
     z = len(group.center())
+    if report.is_ac:
+        a = max(len(group.centralizer(x)) for x in report.vertex_elements)
+    else:
+        a = len(max_clique(report.graph)) + z
     return [
         {"check": "max_commuting_set", "observed": a - z, "limit": bounds.h,
          "ok": a - z <= bounds.h},

@@ -294,6 +294,10 @@ class FiniteGroup:
         formed once per distinct <z>, however many of its generators lie in
         C(H) \\ H: once <z> is closed, it is filed under each of its
         generators z^k, gcd(k, |z|) = 1.
+
+        Public API and the tests' brute-force oracle for the bound checks.
+        It fills `table`, so no report or `verify` suite calls it: the bound
+        checks read the largest order from centralizers and the clique number.
         """
         cent, table = self._centralizers, self.table
         cyclic = {}

@@ -312,7 +312,8 @@ def test_check_bounds_against_group():
 
 
 def test_max_commuting_set_is_the_maximum_clique():
-    # read from the abelian subgroups, it must match a clique search on the graph
+    # read from centralizer sizes on an AC-group, it must match a clique
+    # search on the graph
     exact = [e for e in catalog_entries() if report_for(e.name).total.is_exact]
     assert len(exact) == 44
     for entry in exact:
@@ -364,6 +365,31 @@ def test_bound_rows_match_brute_force_on_random_groups(gens):
     group = group_from_permutations(gens)
     assume(not group.is_abelian())
     assert_bound_rows_match_brute_force(commuting_graph(group))
+
+
+@settings(max_examples=40, deadline=None)
+@given(permutation_generators(max_degree=6))
+def test_bound_rows_match_brute_force_on_random_non_ac_groups(gens):
+    # the clique-search branch: up to S6, past the catalog's one non-AC
+    # exact-genus entry, S4; the helper swaps in bounds for any genus
+    group = group_from_permutations(gens)
+    assume(not group.is_abelian() and not group.is_ac_group())
+    assert_bound_rows_match_brute_force(commuting_graph(group))
+
+
+@pytest.mark.parametrize("family, q, observed", [
+    ("PSL2", 8, (8, 1, 9, 504)),
+    ("GL2", 9, (72, 8, 80, 5760)),
+    ("PSL2", 16, (16, 1, 17, 4080)),
+])
+def test_bound_checks_on_large_groups_fill_no_table(family, q, observed):
+    # uncached: no other test can have filled this group's table; the values
+    # are those of the brute-force search over abelian subgroups
+    group = build.__wrapped__(family, q)
+    rows = check_bounds_against_group(commuting_graph(group))
+    assert tuple(row["observed"] for row in rows) == observed
+    assert all(row["ok"] for row in rows)
+    assert "table" not in vars(group)
 
 
 def test_report_carries_the_heawood_bounds_of_an_exact_genus():

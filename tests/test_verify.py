@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from cgraph import cli, verify
+from cgraph import FiniteGroup, cli, verify
 from cgraph.verify import SUITES, run_suites
 from conftest import invoke
 
@@ -38,3 +39,17 @@ def test_verbose_counts_go_to_stderr():
     assert result.exit_code == 0
     payload = json.loads(result.stdout)
     assert result.stderr == f"planar: {payload['planar']['passed']}/45 passed\n"
+
+
+def test_bounds_suite_runs_without_the_abelian_subgroup_search(monkeypatch):
+    # the largest abelian subgroup is read from centralizers and the clique
+    # number, so the suite never walks the subgroups or fills a table for them
+    def refuse(self):
+        raise AssertionError("abelian_subgroups called by the bounds suite")
+
+    monkeypatch.setattr(FiniteGroup, "abelian_subgroups", refuse)
+    golden = json.loads((Path(__file__).parent / "golden" / "verify_all.json")
+                        .read_text())
+    payload = run_suites(["bounds"])
+    assert (payload["bounds"]["passed"], payload["bounds"]["failed"]) == (176, 0)
+    assert payload["bounds"]["checks"] == golden["bounds"]["checks"]
