@@ -176,9 +176,11 @@ class SimpleGraph:
     # -- serialization ----------------------------------------------------
 
     def to_dot(self, name="graph") -> str:
-        lines = [f'graph "{name}" {{']
+        def quoted(text):  # a DOT string ends at the first unescaped quote
+            return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        lines = [f"graph {quoted(name)} {{"]
         for v in range(self.n):
-            lines.append(f'  {v} [label="{self.label(v)}"];')
+            lines.append(f"  {v} [label={quoted(self.label(v))}];")
         for u, v in self.edges():
             lines.append(f"  {u} -- {v};")
         lines.append("}")

@@ -305,8 +305,10 @@ def test_group_over_max_order_exits_2(tmp_path):
     # only ASCII digits: int() would read fullwidth digits as 6
     ("order \uff10\uff16\ntable\n",
      "line 1: expected 'order n', got 'order \uff10\uff16'"),
+    # the table section line takes no arguments, as `perm-generators` takes one
+    ("order 2\ntable junk\n0 1\n1 0\n", "line 2: expected 'table', got 'table junk'"),
 ], ids=["huge-degree", "order-5000-digits", "degree-5000-digits",
-        "superscript-order", "superscript-degree", "fullwidth-order"])
+        "superscript-order", "superscript-degree", "fullwidth-order", "table-junk"])
 def test_bad_header_number_exits_2(tmp_path, text, message):
     path = tmp_path / "huge.group"
     path.write_text(text)

@@ -182,6 +182,9 @@ def test_to_dot():
     assert '0 [label="a"];' in text
     assert "0 -- 1;" in text
     assert text.endswith("}\n")
+    # quotes and backslashes in the name and the labels are escaped
+    text = SimpleGraph(1, [], labels=['x"\\']).to_dot(name='my"s3')
+    assert text == 'graph "my\\"s3" {\n  0 [label="x\\"\\\\"];\n}\n'
 
 
 # -- formulas and bounds ---------------------------------------------------

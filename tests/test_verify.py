@@ -41,15 +41,32 @@ def test_verbose_counts_go_to_stderr():
     assert result.stderr == f"planar: {payload['planar']['passed']}/45 passed\n"
 
 
-def test_bounds_suite_runs_without_the_abelian_subgroup_search(monkeypatch):
-    # the largest abelian subgroup is read from centralizers and the clique
-    # number, so the suite never walks the subgroups or fills a table for them
+@pytest.fixture
+def refuse_abelian_subgroups(monkeypatch):
+    # the subgroup walk is the tests' oracle: it fills a table and closes one
+    # subgroup per extension, so no run-time path may reach it
     def refuse(self):
-        raise AssertionError("abelian_subgroups called by the bounds suite")
+        raise AssertionError("abelian_subgroups called on a run-time path")
 
     monkeypatch.setattr(FiniteGroup, "abelian_subgroups", refuse)
+
+
+def test_bounds_suite_runs_without_the_abelian_subgroup_search(refuse_abelian_subgroups):
+    # the largest abelian subgroup is read from centralizers and the clique
+    # number, so the suite never walks the subgroups or fills a table for them
     golden = json.loads((Path(__file__).parent / "golden" / "verify_all.json")
                         .read_text())
     payload = run_suites(["bounds"])
     assert (payload["bounds"]["passed"], payload["bounds"]["failed"]) == (176, 0)
     assert payload["bounds"]["checks"] == golden["bounds"]["checks"]
+
+
+@pytest.mark.parametrize("name, param", [("PSL2", "8"), ("D", "400"), ("S", "5")])
+@pytest.mark.parametrize("command", ["genus", "info", "export-dot"])
+def test_reports_run_without_the_abelian_subgroup_search(
+        refuse_abelian_subgroups, tmp_path, command, name, param):
+    args = [command, "--name", name, "--param", param]
+    if command == "export-dot":
+        args += ["--out", str(tmp_path / "graph.dot")]
+    result = invoke(args)
+    assert result.exit_code == 0, result.stderr
