@@ -226,10 +226,7 @@ def build(name: str, param: int | None = None) -> FiniteGroup:
                        if name.startswith(p) and name[len(p):].isdigit()), None)
         if prefix is None:
             # any other entry, e.g. "PSL(2,8)", loads through its builder
-            entry = next((e for e in _ENTRIES if e.name == name), None)
-            if entry is None:
-                raise ValueError(f"unknown catalog group {name!r}")
-            return build(*entry.builder)
+            return build(*entry_by_name(name).builder)
         name, param = prefix, int(name[len(prefix):])
     if name not in _PARAMETRIC_BUILDERS:
         raise ValueError(f"unknown parametric family {name!r}")
@@ -355,7 +352,7 @@ def entry_by_name(name: str) -> CatalogEntry:
     for e in _ENTRIES:
         if e.name == name:
             return e
-    raise ValueError(f"no catalog entry named {name!r}")
+    raise ValueError(f"unknown catalog group {name!r}")
 
 
 @lru_cache(maxsize=None)

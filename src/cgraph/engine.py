@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
 from typing import NamedTuple
 
 from .graphs import (
@@ -49,52 +48,42 @@ def _block_genus(block: SimpleGraph):
                                        [source, "BettiUpper"])
 
 
-def _block_sum(g: SimpleGraph):
-    """(blocks, shapes, results, total); an exact total is a "BlockSum"."""
-    blocks = g.blocks()
-    resolved = [_block_genus(g.induced_subgraph(b)) for b in blocks]
-    results = tuple(result for _, result in resolved)
+def _block_sum(g: SimpleGraph) -> tuple:
+    """(vertices, shape, genus) of each block of g."""
+    return tuple((b, *_block_genus(g.induced_subgraph(b))) for b in g.blocks())
+
+
+def _total(blocks) -> GenusResult:
+    """The sum of the blocks' genera; an exact total is a "BlockSum"."""
+    results = [result for _, _, result in blocks]
     if all(r.is_exact for r in results):
-        total = GenusResult.exact(sum(r.value for r in results), "BlockSum")
-    else:
-        provenance = sorted({p for r in results if not r.is_exact
-                             for p in r.provenance})
-        total = GenusResult.bounds(sum(r.lower for r in results),
-                                   sum(r.upper for r in results), provenance)
-    return (blocks, tuple(shape for shape, _ in resolved),
-            results, total)
+        return GenusResult.exact(sum(r.value for r in results), "BlockSum")
+    provenance = sorted({p for r in results if not r.is_exact for p in r.provenance})
+    return GenusResult.bounds(sum(r.lower for r in results),
+                              sum(r.upper for r in results), provenance)
 
 
 def genus_of_graph(g: SimpleGraph) -> GenusResult:
     """Total genus: sum over connected components, each a sum over blocks."""
-    _, _, results, total = _block_sum(g)
+    blocks = _block_sum(g)
+    total = _total(blocks)
     # an exact genus of a lone block keeps that block's certificate
-    return results[0] if len(results) == 1 and total.is_exact else total
+    return blocks[0][2] if len(blocks) == 1 and total.is_exact else total
 
 
 # -- commuting graphs ------------------------------------------------------
 
-class _ReportFields(NamedTuple):
+class CommutingGraphReport(NamedTuple):
+    """Everything the genus engine derives from one group."""
+
     group: FiniteGroup
     vertex_elements: tuple   # vertex index -> group element index
     edge_count: int
     girth: float
-    blocks: tuple            # vertex tuples of the commuting graph
-    block_shapes: tuple      # "K{n}", "K{m},{n}" or "other" per block
-    block_results: tuple     # GenusResult per block
+    blocks: tuple            # (vertices, "K{n}" | "K{m},{n}" | "other", GenusResult)
     total: GenusResult
     is_ac: bool
     heawood: HeawoodBounds | None   # the bounds of an exact genus
-
-
-class CommutingGraphReport(_ReportFields):
-    """Everything the genus engine derives from one group.  Declaring no
-    `__slots__` gives instances the `__dict__` that `graph` is cached in."""
-
-    @cached_property
-    def graph(self) -> SimpleGraph:
-        """The commuting graph, built on first access."""
-        return commuting_graph_of(self.group)
 
 
 def _vertices(group: FiniteGroup) -> tuple:
@@ -117,7 +106,7 @@ def commuting_graph_of(group: FiniteGroup) -> SimpleGraph:
 
 
 def _family_blocks(family, vertices):
-    """(blocks, shapes, results, total) of an AC-group, read from its
+    """(vertices, shape, genus) of each block of an AC-group, read from its
     centralizer family X = C(x) \\ Z(G).
 
     The members partition G \\ Z(G), and each is a clique whose elements
@@ -126,13 +115,10 @@ def _family_blocks(family, vertices):
     K_|X|, whose blocks are the members with |X| >= 2 (the rest are isolated
     vertices)."""
     pos = {x: i for i, x in enumerate(vertices)}
-    members = [m for m in family if len(m) >= 2]
     # pos is increasing, so the sorted family maps to sorted blocks
-    blocks = tuple(tuple(map(pos.__getitem__, m)) for m in members)
-    results = tuple(GenusResult.exact(genus_complete(len(m)), "CompleteFormula")
-                    for m in members)
-    total = GenusResult.exact(sum(r.value for r in results), "BlockSum")
-    return blocks, tuple(f"K{len(m)}" for m in members), results, total
+    return tuple((tuple(map(pos.__getitem__, m)), f"K{len(m)}",
+                  GenusResult.exact(genus_complete(len(m)), "CompleteFormula"))
+                 for m in family if len(m) >= 2)
 
 
 def commuting_graph(group: FiniteGroup) -> CommutingGraphReport:
@@ -153,9 +139,9 @@ def commuting_graph(group: FiniteGroup) -> CommutingGraphReport:
     z = group.order - len(vertices)
     degrees = [len(group.centralizer(x)) - z - 1 for x in vertices]
     is_ac = group.is_ac_group()
-    blocks, shapes, block_results, total = (
-        _family_blocks(group.centralizer_family(), vertices) if is_ac
-        else _block_sum(commuting_graph_of(group)))
+    blocks = (_family_blocks(group.centralizer_family(), vertices) if is_ac
+              else _block_sum(commuting_graph_of(group)))
+    total = _total(blocks)
     heawood = (heawood_bounds(total.value, group.quotient_exponent())
                if total.is_exact else None)
     return CommutingGraphReport(
@@ -164,8 +150,6 @@ def commuting_graph(group: FiniteGroup) -> CommutingGraphReport:
         edge_count=sum(degrees) // 2,
         girth=3 if max(degrees) >= 2 else math.inf,
         blocks=blocks,
-        block_shapes=shapes,
-        block_results=block_results,
         total=total,
         is_ac=is_ac,
         heawood=heawood,
@@ -310,7 +294,7 @@ def check_bounds_against_group(report: CommutingGraphReport) -> list:
     if report.is_ac:
         a = max(len(group.centralizer(x)) for x in report.vertex_elements)
     else:
-        a = len(max_clique(report.graph)) + z
+        a = len(max_clique(commuting_graph_of(group))) + z
     return [
         {"check": "max_commuting_set", "observed": a - z, "limit": bounds.h,
          "ok": a - z <= bounds.h},
@@ -337,8 +321,7 @@ def _genus_json(result: GenusResult):
 def report_to_json(report: CommutingGraphReport, name=None) -> dict:
     group = report.group
     blocks = []
-    for vertices, shape, result in zip(report.blocks, report.block_shapes,
-                                       report.block_results):
+    for vertices, shape, result in report.blocks:
         entry = {"size": len(vertices), "type": shape}
         entry["genus"] = result.value if result.is_exact else \
             {"lower": result.lower, "upper": result.upper}

@@ -42,6 +42,8 @@ class SimpleGraph:
             self.adj[v].add(u)
         self.edge_count = sum(map(len, self.adj)) // 2
         self.labels = list(labels) if labels is not None else None
+        if self.labels is not None and len(self.labels) != n:
+            raise ValueError(f"{len(self.labels)} labels for {n} vertices")
 
     def edges(self):
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]

@@ -100,21 +100,18 @@ class FiniteGroup:
 
     @cached_property
     def _conjugations(self) -> list:
-        """Per generator s, the map x -> s^-1 x s: right[s] after the inverse
-        of y -> s*y, which is filled along the BFS tree, s*y = (s*p)*t for
-        y = p*t."""
+        """Per generator s, the map x -> s^-1 x s: right[s] after y -> s^-1 y,
+        which is filled along the BFS tree from s^-1 (the x with x*s = 1),
+        s^-1 y = (s^-1 p)*t for y = p*t."""
         right, parents, bfs = self._tree
         conj = []
         for act in right:
             left = [0] * self.order
-            left[0] = act[0]
+            left[0] = act.index(0)
             for y in bfs[1:]:
                 p, t = parents[y]
                 left[y] = right[t][left[p]]
-            inverse = [0] * self.order
-            for y, sy in enumerate(left):
-                inverse[sy] = y
-            conj.append(list(map(act.__getitem__, inverse)))
+            conj.append(list(map(act.__getitem__, left)))
         return conj
 
     @cached_property
@@ -324,12 +321,11 @@ class FiniteGroup:
     def quotient(self, normal) -> "FiniteGroup":
         """Quotient by a normal subgroup given as an element index set."""
         nset = frozenset(normal)
-        if 0 not in nset:
-            raise ValueError("normal subgroup must contain the identity")
-        t = self.table
-        for g in range(self.order):  # gN == Ng
-            if {t[g][x] for x in nset} != {t[x][g] for x in nset}:
-                raise ValueError("subgroup is not normal")
+        if self.subgroup_closure(nset) != nset:
+            raise ValueError("not a subgroup")
+        # N is normal iff every generator's conjugation maps N onto N
+        if any({c[x] for x in nset} != nset for c in self._conjugations):
+            raise ValueError("subgroup is not normal")
         coset_of = [None] * self.order  # element -> least member of its coset
         for x in range(self.order):
             if coset_of[x] is None:  # no smaller element shares its coset

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 
 from . import catalog
-from .engine import check_bounds_against_group, commuting_graph, family_genus
+from .engine import (check_bounds_against_group, commuting_graph,
+                     commuting_graph_of, family_genus)
 from .graphs import disjoint_clique_lower_bound
 from .groups import direct_product
 
@@ -71,7 +72,7 @@ def _s5_witness_check():
 
     first = cyclic_vertices("(1 2)(3 4 5)")
     second = cyclic_vertices("(1 2 3)(4 5)")
-    bound = disjoint_clique_lower_bound(report.graph, first, second)
+    bound = disjoint_clique_lower_bound(commuting_graph_of(group), first, second)
     return {"group": "S5", "check": "disjoint-clique witness",
             "lower_bound": bound, "ok": bound >= 2}
 

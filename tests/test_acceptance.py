@@ -8,6 +8,7 @@ import math
 
 from cgraph import (
     commuting_graph,
+    commuting_graph_of,
     direct_product,
     disjoint_clique_lower_bound,
     family_genus,
@@ -95,7 +96,7 @@ def test_criterion_4_toroidal_classification():
         return out
 
     bound = disjoint_clique_lower_bound(
-        report.graph, cyclic_vertices("(1 2)(3 4 5)"),
+        commuting_graph_of(group), cyclic_vertices("(1 2)(3 4 5)"),
         cyclic_vertices("(1 2 3)(4 5)"))
     ok = ok and bound >= 2
     _report(4, "genus 1 exactly for the 7 listed groups; S5 bound >= 2", ok)
@@ -150,7 +151,7 @@ def test_criterion_7_bound_suite():
         group = entry.build()
         g = report.total.value
         bounds = heawood_bounds(g, t=group.quotient_exponent())
-        ok = ok and len(max_clique(report.graph)) <= bounds.h
+        ok = ok and len(max_clique(commuting_graph_of(group))) <= bounds.h
         ok = ok and len(group.center()) <= bounds.center_bound
         center = set(group.center())
         ok = ok and all(len(a) <= bounds.h + len(a & center)

@@ -183,7 +183,7 @@ def test_entry_lookup_and_tags():
     assert len(catalog_entries("toroidal-list")) == 7
     with pytest.raises(ValueError):
         catalog_entries("bogus")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown catalog group 'bogus'"):
         entry_by_name("bogus")
 
 

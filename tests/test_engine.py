@@ -18,7 +18,7 @@ from cgraph import (
     report_to_json,
 )
 from cgraph.catalog import build, catalog_entries, report_for
-from cgraph.engine import _block_sum
+from cgraph.engine import _block_sum, _total
 from conftest import complete_bipartite_graph, permutation_generators
 
 from cgraph import SimpleGraph
@@ -130,18 +130,18 @@ def test_commuting_graph_of_abelian_group_raises():
 
 def test_commuting_graph_report_d8():
     report = commuting_graph(build("D", 8))
-    assert report.graph.n == 6
+    assert len(report.vertex_elements) == 6
     assert report.girth == math.inf
     assert report.is_ac
     assert report.total.is_exact and report.total.value == 0
-    assert all(len(b) == 2 for b in report.blocks)
+    assert all(len(b) == 2 for b, _, _ in report.blocks)
 
 
 def test_commuting_graph_report_d12():
     report = commuting_graph(build("D", 12))
-    assert report.graph.n == 10
+    assert len(report.vertex_elements) == 10
     assert report.girth == 3
-    assert sorted(len(b) for b in report.blocks) == [2, 2, 2, 4]
+    assert sorted(len(b) for b, _, _ in report.blocks) == [2, 2, 2, 4]
     assert report.total.value == 0
 
 
@@ -154,9 +154,10 @@ def test_ac_blocks_are_the_centralizer_family_cliques():
         report = report_for(entry.name)
         members = tuple(m for m in report.group.centralizer_family() if len(m) >= 2)
         blocks = tuple(tuple(report.vertex_elements[v] for v in b)
-                       for b in report.blocks)
+                       for b, _, _ in report.blocks)
         assert blocks == members, entry.name
-        assert report.block_shapes == tuple(f"K{len(m)}" for m in members)
+        assert [shape for _, shape, _ in report.blocks] == \
+            [f"K{len(m)}" for m in members]
         assert report.total.value == sum(genus_complete(len(m)) for m in members)
 
 
@@ -170,11 +171,9 @@ def assert_report_matches_the_graph(group):
     assert (len(report.vertex_elements), report.edge_count, report.girth) == \
         (graph.n, graph.edge_count, graph.girth())
     if report.is_ac:
-        blocks, shapes, results, total = _block_sum(graph)
+        blocks = _block_sum(graph)
         assert report.blocks == blocks
-        assert report.block_shapes == shapes
-        assert report.block_results == results
-        assert report.total == total
+        assert report.total == _total(blocks)
 
 
 def test_report_matches_the_graph_on_catalog_entries():
@@ -190,15 +189,6 @@ def test_report_matches_the_graph_on_random_groups(gens):
     assert_report_matches_the_graph(group)
 
 
-def test_report_builds_its_graph_on_first_access():
-    report = commuting_graph(build("Q", 12))
-    assert "graph" not in vars(report)
-    graph = report.graph
-    assert report.graph is graph
-    assert (graph.n, graph.edge_count) == (len(report.vertex_elements),
-                                           report.edge_count)
-
-
 def test_ac_report_renders_no_labels():
     group = build.__wrapped__("D", 400)  # uncached: no other test has read its labels
     commuting_graph(group)
@@ -209,8 +199,9 @@ def test_ac_report_renders_no_labels():
 def test_vertex_elements_and_labels_align():
     group = build("Q", 8)
     report = commuting_graph(group)
+    graph = commuting_graph_of(group)
     for v, element in enumerate(report.vertex_elements):
-        assert report.graph.label(v) == group.labels[element]
+        assert graph.label(v) == group.labels[element]
 
 
 # -- family formulas -------------------------------------------------------
@@ -320,7 +311,8 @@ def test_max_commuting_set_is_the_maximum_clique():
         report = report_for(entry.name)
         check = check_bounds_against_group(report)[0]
         assert check["check"] == "max_commuting_set"
-        assert check["observed"] == len(max_clique(report.graph)), entry.name
+        assert check["observed"] == \
+            len(max_clique(commuting_graph_of(report.group))), entry.name
 
 
 def assert_bound_rows_match_brute_force(report):

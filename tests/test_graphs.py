@@ -49,6 +49,8 @@ def test_construction_validation():
         SimpleGraph(3, [(0, 0)])
     with pytest.raises(ValueError):
         SimpleGraph(3, [(0, 3)])
+    with pytest.raises(ValueError, match="1 labels for 3 vertices"):
+        SimpleGraph(3, [(0, 1)], labels=["a"])
     g = SimpleGraph(3, [(0, 1), (1, 0)])  # duplicate edges collapse
     assert g.edge_count == 1
 

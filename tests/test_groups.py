@@ -159,8 +159,18 @@ def test_quotient_by_center():
 def test_quotient_requires_normal_subgroup():
     g = build("S", 4)
     reflection = next(x for x in range(g.order) if g.element_order(x) == 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not normal"):
         g.quotient(g.subgroup_closure([reflection]))
+    # closed under conjugation but not subgroups: {1} and a class each
+    three_cycles = {x for x in range(g.order) if g.element_order(x) == 3}
+    assert len(three_cycles) == 8
+    with pytest.raises(ValueError, match="not a subgroup"):
+        g.quotient({0} | three_cycles)
+    sym3 = s3()
+    transpositions = {x for x in range(6) if sym3.element_order(x) == 2}
+    assert len(transpositions) == 3
+    with pytest.raises(ValueError, match="not a subgroup"):
+        sym3.quotient({0} | transpositions)
     # the double transpositions (centralizer of order 8) and the identity form
     # the normal Klein four-group V4, outside the center, and S4 / V4 is S3
     v4 = {0} | {x for x in range(g.order)
