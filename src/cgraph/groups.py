@@ -3,11 +3,11 @@
 Every group is built by one generator closure, `group_from_operation`:
 permutations, 2x2 matrices over a finite field, element models, direct
 products and quotients only supply its generators and product, so what it
-stores is a group by construction; only a table read from a file is checked.
-A closure stores, per generator s, the index map x -> x*s and each element's
-BFS parent, n*|S| entries in all; its multiplication table is filled from
-them only if something reads it.  Elements are in BFS order from the
-identity over the generators in the order given, which keeps labels,
+stores is a group by construction; only a table file is checked, by
+`group_from_table`.  A group stores, per generator s, the index map x -> x*s
+and each element's BFS parent, n*|S| entries in all, and no table: x*y is x
+pushed through y's tree word.  A closure's elements are in BFS order from
+the identity over the generators in the order given, which keeps labels,
 rendered on first read, deterministic.  A group never changes once built.
 """
 
@@ -21,15 +21,45 @@ from math import gcd
 
 from .fields import FieldContext, Mat2
 
-# The largest group order.  A closure stores n*|S| action entries and, once
+# The largest group order.  A group stores n*|S| action entries and, once
 # asked, k*n centralizer entries for k conjugacy classes (GL(2,9), 5760
-# elements, reports its genus at about 20 MiB peak).  The n^2 table is what
-# the limit bounds: a table file is read as one, and the closure fills its own
-# on first read, for subgroups, quotients and products, at about 16 B an entry
-# (GL(2,9) peaks at 529 MiB), so 6000 elements bound either at about 590 MiB.
-# The closure checks the limit as it grows, and a group file at its `order n`
-# header.
+# elements, reports its genus at about 20 MiB peak).  Only a table file is
+# n^2 entries, about 590 MiB at 6000 elements, and that is what the limit
+# bounds.  The closure checks the limit as it grows, and a group file at its
+# `order n` header.
 MAX_ORDER = 6000
+
+
+def _greedy_closure(n, candidates, word):
+    """The greedy picks among `candidates`, each one that the earlier picks
+    do not generate, and the tree (right, parents, bfs) of their closure, a
+    BFS from the identity, index 0, over right multiplication by the picks.
+    `word(g)` is a list of index maps whose composite is x -> x*g, and
+    `right[s][x]` is x*picks[s], filled once reached and None outside the
+    closure.  An index outside 0..n-1 raises ValueError."""
+    picks, words, right = [], [], []
+    parents, bfs = [None] * n, [0]
+    for g in candidates:
+        if not 0 <= g < n:
+            raise ValueError(f"index {g} is outside 0..{n - 1}")
+        if g == 0 or parents[g] is not None:
+            continue
+        picks.append(g)
+        words.append(word(g))
+        right.append([None] * n)
+        parents, bfs = [None] * n, [0]
+        for p in bfs:  # `bfs` grows while it is walked
+            for s, (act, maps) in enumerate(zip(right, words)):
+                y = act[p]
+                if y is None:
+                    y = p
+                    for m in maps:
+                        y = m[y]
+                    act[p] = y
+                if y and parents[y] is None:
+                    parents[y] = (p, s)
+                    bfs.append(y)
+    return picks, (right, parents, bfs)
 
 
 class FiniteGroup:
@@ -37,20 +67,15 @@ class FiniteGroup:
 
     `_tree` holds `right[s][x]`, the index of x*s for generator s, the BFS
     tree `parents[y] = (p, s)` with y = p*s (None at the identity, index 0)
-    and the elements in BFS order.  A closure passes `right` and `parents`,
-    its elements numbered in BFS order; a `table` (`table[i][j]` the index of
-    i*j) is taken as given, and its tree is read from it on first use.  One
-    from outside the closure is checked first, by `group_from_table`.
-    Labels are purely cosmetic.
+    and the elements in BFS order (a closure's are `range(order)`; a table
+    file's keep their own indices).  The actions must be those of a group;
+    only `group_from_table` checks a table from outside.  Labels are purely
+    cosmetic.
     """
 
-    def __init__(self, table=None, labels=None, name=None, *, right=None, parents=None):
-        if table is not None:
-            self.table = [tuple(row) for row in table]
-            self.order = len(self.table)
-        else:
-            self.order = len(parents)
-            self._tree = (right, parents, range(self.order))
+    def __init__(self, right, parents, bfs, labels=None, name=None):
+        self._tree = (right, parents, bfs)
+        self.order = len(parents)
         self.name = name
         self._labels = labels
 
@@ -61,37 +86,23 @@ class FiniteGroup:
             return [str(i) for i in range(self.order)]
         return list(self._labels)
 
-    @cached_property
-    def _tree(self):
-        """A table's (right, parents, bfs): right[s] is the column of the
-        s-th greedy generator, and the BFS over them keeps every index."""
-        right = [[row[g] for row in self.table] for g in self.generators()]
-        parents, bfs = [None] * self.order, [0]
-        for p in bfs:  # `bfs` grows while it is walked
-            for s, act in enumerate(right):
-                y = act[p]
-                if y and parents[y] is None:
-                    parents[y] = (p, s)
-                    bfs.append(y)
-        return right, parents, bfs
-
-    @cached_property
-    def table(self) -> list:
-        """`table[x][y]`, the index of x*y, filled by lookup on first read:
-        column y = p*s is column p mapped by right[s].  Only arbitrary
-        products on small groups read it: subgroups, quotients, products."""
-        right, parents, bfs = self._tree
-        columns = [None] * self.order
-        columns[0] = range(self.order)
-        for y in bfs[1:]:
-            p, s = parents[y]
-            columns[y] = list(map(right[s].__getitem__, columns[p]))
-        return list(zip(*columns))
+    def _word(self, y) -> list:
+        """The right actions along y's tree path: y = s1*..*sk read from the
+        identity gives [right[s1], .., right[sk]], so x*y is x mapped by each."""
+        right, parents, _ = self._tree
+        word = []
+        while y:
+            y, s = parents[y]
+            word.append(right[s])
+        word.reverse()
+        return word
 
     # -- basic arithmetic -------------------------------------------------
 
     def mul(self, x: int, y: int) -> int:
-        return self.table[x][y]
+        for act in self._word(y):
+            x = act[x]
+        return x
 
     def element_order(self, x: int) -> int:
         return self._power_orders[0][x]
@@ -137,13 +148,7 @@ class FiniteGroup:
 
     def _powers(self, r) -> list:
         """r, r^2, .., up to the identity, each the last times r's word."""
-        right, parents, _ = self._tree
-        word = []
-        y = r
-        while y:
-            y, t = parents[y]
-            word.append(right[t])
-        word.reverse()
+        word = self._word(r)
         powers = [r]
         while powers[-1]:
             acc = powers[-1]
@@ -265,20 +270,9 @@ class FiniteGroup:
     # -- subgroup machinery ----------------------------------------------
 
     def subgroup_closure(self, seed) -> frozenset:
-        """The subgroup generated by the given element indices."""
-        elems = {0}
-        frontier = [0]
-        gens = list(seed)
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for s in gens:
-                    h = self.table[g][s]
-                    if h not in elems:
-                        elems.add(h)
-                        nxt.append(h)
-            frontier = nxt
-        return frozenset(elems)
+        """The subgroup generated by the given element indices: the closure
+        of their greedy picks.  An index outside 0..n-1 raises ValueError."""
+        return frozenset(_greedy_closure(self.order, seed, self._word)[1][2])
 
     def abelian_subgroups(self):
         """All abelian subgroups, by the plain centralizing extension walk.
@@ -290,9 +284,10 @@ class FiniteGroup:
         generators.
 
         Public API and the tests' brute-force oracle for the bound checks.
-        It fills `table` and closes one subgroup per extension (about 0.5 s
-        on D400), so no run-time path calls it: the bound checks read the
-        largest order from centralizers and the clique number.
+        It closes one subgroup per extension, each product pushed through a
+        tree word (about 1.3 s on D400, whose words run up to 101 deep), so
+        no run-time path calls it: the bound checks read the largest order
+        from centralizers and the clique number.
         """
         cent = self._centralizers
         found = {frozenset({0})}
@@ -309,19 +304,17 @@ class FiniteGroup:
     def generators(self) -> list:
         """A generating set, picked greedily: each element in index order that
         the earlier picks do not generate."""
-        gens, reached = [], {0}
-        for g in range(self.order):
-            if g not in reached:
-                gens.append(g)
-                reached = self.subgroup_closure(gens)
-        return gens
+        return _greedy_closure(self.order, range(self.order), self._word)[0]
 
     # -- quotients --------------------------------------------------------
 
     def quotient(self, normal) -> "FiniteGroup":
-        """Quotient by a normal subgroup given as an element index set."""
+        """Quotient by a normal subgroup given as an element index set.  Each
+        coset xN is named by its least member, and the quotient's closure
+        multiplies only by those of G's greedy generators' cosets."""
         nset = frozenset(normal)
-        if self.subgroup_closure(nset) != nset:
+        _, (_, _, members) = _greedy_closure(self.order, nset, self._word)
+        if len(members) != len(nset):
             raise ValueError("not a subgroup")
         # N is normal iff every generator's conjugation maps N onto N
         if any({c[x] for x in nset} != nset for c in self._conjugations):
@@ -329,11 +322,11 @@ class FiniteGroup:
         coset_of = [None] * self.order  # element -> least member of its coset
         for x in range(self.order):
             if coset_of[x] is None:  # no smaller element shares its coset
-                for h in nset:
-                    coset_of[self.table[x][h]] = x
+                for h in members:
+                    coset_of[self.mul(x, h)] = x
         return group_from_operation(
             [coset_of[g] for g in self.generators()],
-            lambda x, y: coset_of[self.table[x][y]], 0,
+            lambda x, y: coset_of[self.mul(x, y)], 0,
             lambda r: f"{self.labels[r]}N",
             name=f"{self.name}/N" if self.name else None)
 
@@ -381,9 +374,10 @@ def group_from_operation(generators, op, identity, label=str, name=None) -> Fini
 
     Only the n*|S| products x*s use `op`; the group keeps them, as right[s],
     with each element's BFS parent.  Each b but the identity is parent(b)*s,
-    so every other product is a lookup, a*b = right[s][a*parent(b)].  So `op`
-    must be a group operation on what the generators produce, with
-    `identity` its identity; nothing checks that.
+    so every other product is lookups, a*b = right[s][a*parent(b)], which
+    `FiniteGroup.mul` unrolls along b's tree word.  So `op` must be a group
+    operation on what the generators produce, with `identity` its identity;
+    nothing checks that.
     """
     gens = list(generators)
     index = {identity: 0}
@@ -400,8 +394,8 @@ def group_from_operation(generators, op, identity, label=str, name=None) -> Fini
                 elements.append(h)
                 parents.append((x, s))
             right[s].append(index[h])
-    return FiniteGroup(labels=map(label, elements), name=name,
-                       right=right, parents=parents)
+    return FiniteGroup(right, parents, range(len(elements)),
+                       map(label, elements), name)
 
 
 def group_from_permutations(generators, name=None) -> FiniteGroup:
@@ -426,12 +420,12 @@ def group_from_matrices(generators, context: FieldContext, name=None) -> FiniteG
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, name=None) -> FiniteGroup:
     """Componentwise product of pairs (i, j), generated by (0, t) and (s, 0)
-    over the generators t of B and s of A."""
+    over the generators t of B and s of A, each factor's product its `mul`."""
     gens = [(0, t) for t in b.generators()] + [(s, 0) for s in a.generators()]
     if name is None and a.name and b.name:
         name = f"{a.name} x {b.name}"
     return group_from_operation(
-        gens, lambda x, y: (a.table[x[0]][y[0]], b.table[x[1]][y[1]]), (0, 0),
+        gens, lambda x, y: (a.mul(x[0], y[0]), b.mul(x[1], y[1])), (0, 0),
         lambda x: f"({a.labels[x[0]]},{b.labels[x[1]]})", name)
 
 
@@ -474,7 +468,8 @@ def group_from_table(rows) -> FiniteGroup:
     Latin square with its identity at index 0, then by Light's test: (x*s)*y
     == x*(s*y) for all x, y and s in a greedy generating set, O(n^2 |S|),
     which suffices because the s passing it are closed under the product.
-    Tables from outside the closure come in here, not through `FiniteGroup`."""
+    The group is the BFS tree over those generators' columns, which keeps
+    every index; `rows` itself is not kept."""
     n = len(rows)
     full = set(range(n))
     for kind, lines in (("row", rows), ("column", zip(*rows))):
@@ -483,21 +478,21 @@ def group_from_table(rows) -> FiniteGroup:
                 raise ValueError(f"{kind} {i} has length {len(line)}, expected {n}")
             if set(line) != full:
                 raise ValueError(f"{kind} {i} is not a permutation of 0..{n - 1}")
-    group = FiniteGroup(rows)
-    t, ident = group.table, tuple(range(n))
-    identity = next((e for e, row in enumerate(t)
-                     if row == ident and tuple(r[e] for r in t) == ident), None)
+    ident = list(range(n))
+    identity = next((e for e, row in enumerate(rows)
+                     if list(row) == ident and [r[e] for r in rows] == ident), None)
     if identity is None:
         raise ValueError("table has no identity element")
     if identity != 0:
         raise ValueError("identity must be at index 0")
-    for s in group.generators():
+    gens, tree = _greedy_closure(n, range(n), lambda g: [[row[g] for row in rows]])
+    for s in gens:
         for x in range(n):
             for y in range(n):
-                if t[t[x][s]][y] != t[x][t[s][y]]:
+                if rows[rows[x][s]][y] != rows[x][rows[s][y]]:
                     raise ValueError(f"table is not associative: "
                                      f"({x}*{s})*{y} != {x}*({s}*{y})")
-    return group
+    return FiniteGroup(*tree)
 
 
 def group_from_file_text(text: str) -> FiniteGroup:

@@ -29,6 +29,19 @@ def invoke(args):
     return Result(code, out.getvalue(), err.getvalue())
 
 
+def table_of(group):
+    """The multiplication table, `table_of(group)[x][y]` the index of x*y, as
+    rows of tuples: the test oracle for products.  Filled column by column
+    along the group's BFS tree: column y = p*s is column p mapped by right[s]."""
+    right, parents, bfs = group._tree
+    columns = [None] * group.order
+    columns[0] = range(group.order)
+    for y in bfs[1:]:
+        p, s = parents[y]
+        columns[y] = list(map(right[s].__getitem__, columns[p]))
+    return list(zip(*columns))
+
+
 @st.composite
 def permutation_generators(draw, max_degree=6):
     degree = draw(st.integers(1, max_degree))

@@ -14,6 +14,7 @@ from cgraph.catalog import (
 )
 from cgraph.fields import FIELDS
 from cgraph.groups import MAX_ORDER, group_from_permutations
+from conftest import table_of
 
 
 def test_build_simple_and_parametric():
@@ -106,8 +107,8 @@ def _rotation_and_reflection(family, order):
 def test_metacyclic_builds_match_the_written_out_generators(family, orders):
     for order in orders:
         group, reference = build(family, order), _rotation_and_reflection(family, order)
-        assert (group.table, group.labels, group.name) == \
-            (reference.table, reference.labels, reference.name), order
+        assert (table_of(group), group.labels, group.name) == \
+            (table_of(reference), reference.labels, reference.name), order
 
 
 def _rotation_and_multiplier(n, mult, name):
@@ -126,8 +127,8 @@ def _rotation_and_multiplier(n, mult, name):
 def test_affine_model_matches_the_permutations(name, param, n, mult):
     group = build(name, param)
     reference = _rotation_and_multiplier(n, mult, group.name)
-    assert (group.order, group.labels, group.table) == \
-        (reference.order, reference.labels, reference.table)
+    assert (group.order, group.labels, table_of(group)) == \
+        (reference.order, reference.labels, table_of(reference))
 
 
 def test_named_constructions_orders_and_centers():

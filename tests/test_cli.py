@@ -10,7 +10,7 @@ import cgraph
 from cgraph.catalog import catalog_entries
 from cgraph.cli import main
 from cgraph.groups import MAX_ORDER
-from conftest import LATIN5, invoke
+from conftest import LATIN5, invoke, table_of
 
 
 def invoke_json(args):
@@ -128,7 +128,7 @@ def test_info_from_table_file(tmp_path):
     from cgraph.catalog import build
     g = build("S", 3)
     lines = [f"order {g.order}", "table"]
-    lines += [" ".join(str(v) for v in row) for row in g.table]
+    lines += [" ".join(str(v) for v in row) for row in table_of(g)]
     path = tmp_path / "s3.group"
     path.write_text("\n".join(lines) + "\n")
     payload = invoke_json(["info", "--file", str(path)])

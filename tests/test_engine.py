@@ -375,7 +375,7 @@ def test_bound_rows_match_brute_force_on_random_non_ac_groups(gens):
     ("PSL2", 16, (16, 1, 17, 4080)),
 ])
 def test_bound_checks_on_large_groups_fill_no_table(family, q, observed):
-    # uncached: no other test can have filled this group's table; the values
+    # uncached: a fresh build, which no other test has touched; the values
     # are those of the brute-force search over abelian subgroups
     group = build.__wrapped__(family, q)
     rows = check_bounds_against_group(commuting_graph(group))

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgraph import (
-    FiniteGroup,
     direct_product,
     group_from_file_text,
     group_from_operation,
@@ -19,7 +18,8 @@ from cgraph import (
 )
 from cgraph.catalog import build, catalog_entries
 from cgraph.groups import MAX_ORDER, parse_cycles, perm_cycle_label
-from conftest import LATIN5, permutation_generators
+from cgraph.engine import commuting_graph
+from conftest import LATIN5, permutation_generators, table_of
 
 
 def s3():
@@ -97,8 +97,9 @@ def test_closure_tables_pass_the_file_check(make):
     """The closure's tables are group tables: the file check, Light's test
     included, accepts each one unchanged.  A table file carries no labels."""
     group = make()
-    checked = group_from_file_text(table_text(group.table))
-    assert checked.table == group.table
+    table = table_of(group)
+    checked = group_from_file_text(table_text(table))
+    assert table_of(checked) == table
     assert checked.labels == [str(i) for i in range(group.order)]
 
 
@@ -114,7 +115,7 @@ def assert_group_sane(g, exhaustive_limit=48):
                    for _ in range(20000)]
     for a, b, c in triples:
         assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
-    assert all(row.count(0) == 1 for row in g.table)
+    assert all(row.count(0) == 1 for row in table_of(g))
 
 
 @pytest.mark.parametrize("name,param", [
@@ -137,7 +138,7 @@ def test_direct_product_with_trivial_factor():
     trivial = group_from_permutations([])
     prod = direct_product(trivial, g)
     assert prod.order == g.order
-    assert prod.table == g.table  # same table up to relabeling
+    assert table_of(prod) == table_of(g)  # same table up to relabeling
 
 
 def test_direct_product_cap():
@@ -180,6 +181,15 @@ def test_quotient_requires_normal_subgroup():
     assert quot.order == 6 and len(quot.center()) == 1
 
 
+def test_indices_outside_the_group_are_refused():
+    # -1 would read the last element, and 7 lies past S3's six
+    g = s3()
+    with pytest.raises(ValueError, match=r"index -1 is outside 0\.\.5"):
+        g.subgroup_closure([-1])
+    with pytest.raises(ValueError, match=r"index 7 is outside 0\.\.5"):
+        g.quotient({0, 7})
+
+
 def test_center_and_centralizer_examples():
     assert len(s3().center()) == 1
     assert len(build("D", 8).center()) == 2
@@ -191,7 +201,7 @@ def test_center_and_centralizer_examples():
 def test_orbit_stabilizer():
     for name, param in [("S", 4), ("D", 12), ("SL(2,3)", None)]:
         g = build(name, param)
-        inverse = [row.index(0) for row in g.table]
+        inverse = [row.index(0) for row in table_of(g)]
         for x in range(g.order):
             conjugates = {g.mul(g.mul(h, x), inverse[h]) for h in range(g.order)}
             assert len(conjugates) * len(g.centralizer(x)) == g.order
@@ -277,13 +287,14 @@ def test_abelian_subgroups_match_closing_each_cyclic_subgroup_per_extension():
     # the walk closes H | {z} at every extension; the reference forms the
     # product H<z> instead, which is the same subgroup as z centralizes H
     def per_extension(group):
+        table = table_of(group)
         found = {frozenset({0})}
         work = list(found)
         while work:
             h = work.pop()
             for z in set(range(group.order)).intersection(*map(group.centralizer, h)) - h:
                 cyclic = group.subgroup_closure([z])
-                ext = frozenset(group.table[x][p] for x in h for p in cyclic)
+                ext = frozenset(table[x][p] for x in h for p in cyclic)
                 if ext not in found:
                     found.add(ext)
                     work.append(ext)
@@ -308,12 +319,12 @@ def test_quotient_exponent_matches_every_elements_own_walk():
     # the reversed relabelling (identity kept at 0) changes which element of
     # each cyclic subgroup is walked first
     def per_element(g):
-        z = set(g.center())
+        z, t = set(g.center()), table_of(g)
 
         def order_mod_center(x):
             k, acc = 1, x
             while acc not in z:
-                acc = g.table[acc][x]
+                acc = t[acc][x]
                 k += 1
             return k
         return max(map(order_mod_center, range(g.order)))
@@ -324,10 +335,10 @@ def test_quotient_exponent_matches_every_elements_own_walk():
             n = g.order
             rev = [-i % n for i in range(n)]
             reversed_table = [[0] * n for _ in range(n)]
-            for i, row in enumerate(g.table):
+            for i, row in enumerate(table_of(g)):
                 for j, ij in enumerate(row):
                     reversed_table[rev[i]][rev[j]] = rev[ij]
-            for h in (g, FiniteGroup(reversed_table)):
+            for h in (g, group_from_table(reversed_table)):
                 assert h.quotient_exponent() == per_element(h), entry.name
 
 
@@ -364,9 +375,9 @@ def test_parse_cycles():
 def test_group_file_table_roundtrip():
     g = s3()
     lines = [f"order {g.order}", "table"]
-    lines += [" ".join(str(v) for v in row) for row in g.table]
+    lines += [" ".join(str(v) for v in row) for row in table_of(g)]
     parsed = group_from_file_text("\n".join(lines))
-    assert parsed.table == g.table
+    assert table_of(parsed) == table_of(g)
 
 
 def test_group_file_perm_generators():
@@ -389,7 +400,7 @@ def test_repeated_generator_lines_are_parsed_once():
         finally:
             tracemalloc.stop()
         assert repeated.order == 2
-        assert repeated.table == once.table
+        assert table_of(repeated) == table_of(once)
         assert peak < 50 * 2**20  # a parsed degree-6000 tuple takes about 220 KiB
 
 
@@ -418,14 +429,13 @@ def test_dicyclic_relations(n):
     x, y = element["x"], element["y^1"]
     assert g.element_order(y) == 2 * n
     assert g.mul(x, x) == element[f"y^{n}"]
-    assert g.mul(g.mul(x, y), g.table[x].index(0)) == g.table[y].index(0)
+    inverse = [row.index(0) for row in table_of(g)]
+    assert g.mul(g.mul(x, y), inverse[x]) == inverse[y]
 
 
-@settings(max_examples=40, deadline=None)
-@given(permutation_generators())
-def test_closure_table_matches_plain_composition(gens):
-    """The lookup-filled table equals composition over the same BFS order."""
-    group = group_from_permutations(gens)
+def plain_closure(gens):
+    """The permutations that `gens` generate, in the closure's BFS order,
+    and each one's index, found by composing permutations alone."""
     identity = tuple(range(len(gens[0]) if gens else 1))
     elements, index = [identity], {identity: 0}
     for g in elements:
@@ -434,17 +444,38 @@ def test_closure_table_matches_plain_composition(gens):
             if h not in index:
                 index[h] = len(elements)
                 elements.append(h)
+    return elements, index
+
+
+@settings(max_examples=40, deadline=None)
+@given(permutation_generators())
+def test_closure_table_matches_plain_composition(gens):
+    """The lookup-filled table equals composition over the same BFS order."""
+    group = group_from_permutations(gens)
+    elements, index = plain_closure(gens)
     table = [tuple(index[tuple(map(a.__getitem__, b))] for b in elements)
              for a in elements]
-    assert group.table == table
+    assert table_of(group) == table
     assert group.labels == [perm_cycle_label(p) for p in elements]
 
 
 @settings(max_examples=40, deadline=None)
 @given(permutation_generators(max_degree=5))
-def test_random_closure_table_passes_the_file_check(gens):
+def test_mul_matches_composing_the_permutations(gens):
+    """Each product x*y, x pushed through y's tree word, against composing
+    the two permutations, an oracle that reads no tree."""
     group = group_from_permutations(gens)
-    assert group_from_file_text(table_text(group.table)).table == group.table
+    elements, index = plain_closure(gens)
+    for x, a in enumerate(elements):
+        for y, b in enumerate(elements):
+            assert group.mul(x, y) == index[tuple(map(a.__getitem__, b))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(permutation_generators(max_degree=5))
+def test_random_closure_table_passes_the_file_check(gens):
+    table = table_of(group_from_permutations(gens))
+    assert table_of(group_from_file_text(table_text(table))) == table
 
 
 @settings(max_examples=25, deadline=None)
@@ -457,9 +488,9 @@ def test_product_and_quotient_tables_match_labels(gens_a, gens_b):
     assert prod.order == a.order * b.order
     pair = {lbl: i for i, lbl in enumerate(prod.labels)}
     index = [[pair[f"({la},{lb})"] for lb in b.labels] for la in a.labels]
+    pt, at, bt = table_of(prod), table_of(a), table_of(b)
     for i, j, k, m in itertools.product(range(a.order), range(b.order), repeat=2):
-        assert prod.table[index[i][j]][index[k][m]] \
-            == index[a.table[i][k]][b.table[j][m]]
+        assert pt[index[i][j]][index[k][m]] == index[at[i][k]][bt[j][m]]
 
     g = prod
     center = g.center()
@@ -467,11 +498,12 @@ def test_product_and_quotient_tables_match_labels(gens_a, gens_b):
     assert quot.order * len(center) == g.order
     coset = {lbl: i for i, lbl in enumerate(quot.labels)}
     # a coset is labelled by its least member
-    of = [coset[f"{g.labels[min(g.table[x][z] for z in center)]}N"]
+    gt, qt = table_of(g), table_of(quot)
+    of = [coset[f"{g.labels[min(gt[x][z] for z in center)]}N"]
           for x in range(g.order)]
     for x in range(g.order):
         for y in range(g.order):
-            assert quot.table[of[x]][of[y]] == of[g.table[x][y]]
+            assert qt[of[x]][of[y]] == of[gt[x][y]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -480,7 +512,7 @@ def test_commutation_queries_match_pairwise_table(gens):
     """Center, centralizers, AC test, family and quotient exponent against
     pairwise products read straight from the table."""
     group = group_from_permutations(gens)
-    t, n = group.table, group.order
+    t, n = table_of(group), group.order
     cent = [tuple(y for y in range(n) if t[x][y] == t[y][x]) for x in range(n)]
     center = tuple(x for x in range(n) if len(cent[x]) == n)
     assert [group.centralizer(x) for x in range(n)] == cent
@@ -510,15 +542,15 @@ def test_non_associative_table_is_rejected():
 def scanned_centralizers(group):
     """The oracle: row x against column x of the full table, the scan that
     gave every centralizer before they were found class by class."""
-    ids = list(range(group.order))
+    ids, table = list(range(group.order)), table_of(group)
     return [tuple(compress(ids, map(operator.eq, row, col)))
-            for row, col in zip(group.table, zip(*group.table))]
+            for row, col in zip(table, zip(*table))]
 
 
 def assert_class_functions_match_the_table(group):
     """Centralizers, center, element orders and the quotient exponent
     against the oracle scan and power walks over the table."""
-    t, n = group.table, group.order
+    t, n = table_of(group), group.order
     cent = scanned_centralizers(group)
     assert [group.centralizer(x) for x in range(n)] == cent
     center = tuple(x for x in range(n) if len(cent[x]) == n)
@@ -540,7 +572,7 @@ def relabelled_table(group, relabel):
     """The table of `group` with element x renamed relabel[x]."""
     n = group.order
     table = [[0] * n for _ in range(n)]
-    for x, row in enumerate(group.table):
+    for x, row in enumerate(table_of(group)):
         for y, xy in enumerate(row):
             table[relabel[x]][relabel[y]] = relabel[xy]
     return table
@@ -555,7 +587,7 @@ def test_class_by_class_centralizers_match_the_table_scan(gens, rnd):
     assert_class_functions_match_the_table(group)
     n = group.order
     shuffled = group_from_table(relabelled_table(group, [0] + rnd.sample(range(1, n), n - 1)))
-    assert "_tree" not in vars(shuffled)  # read from the table on first use
+    assert not hasattr(shuffled, "table")  # only the tree is kept
     assert_class_functions_match_the_table(shuffled)
 
 
@@ -565,7 +597,7 @@ def test_catalog_centralizers_match_the_table_scan(entry):
     assert_class_functions_match_the_table(group)
     n = group.order
     relabel = [0] + random.Random(n).sample(range(1, n), n - 1)
-    assert_class_functions_match_the_table(FiniteGroup(relabelled_table(group, relabel)))
+    assert_class_functions_match_the_table(group_from_table(relabelled_table(group, relabel)))
 
 
 @pytest.mark.parametrize("name, order", [("D", 400), ("Q", 400), ("SD", 256)])
@@ -585,17 +617,41 @@ def test_table_file_tree_keeps_the_indices():
     group = build("S", 4)
     n = group.order
     relabel = [0] + random.Random(1).sample(range(1, n), n - 1)
-    shuffled = FiniteGroup(relabelled_table(group, relabel))
+    table = relabelled_table(group, relabel)
+    shuffled = group_from_table(table)
     right, parents, bfs = shuffled._tree
     gens = shuffled.generators()
-    assert right == [[row[g] for row in shuffled.table] for g in gens]
+    assert right == [[row[g] for row in table] for g in gens]
     assert sorted(bfs) == list(range(n)) and bfs != list(range(n))
     for y in bfs[1:]:
         p, s = parents[y]
-        assert bfs.index(p) < bfs.index(y) and shuffled.table[p][gens[s]] == y
+        assert bfs.index(p) < bfs.index(y) and table[p][gens[s]] == y
 
 
 def test_center_is_computed_once():
     group = build("Q", 12)
     assert group.center() is group.center()
     assert isinstance(group.center(), tuple)
+
+
+def _quotient_by_center(group):
+    return group.quotient(group.center())
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda: build.__wrapped__("GL2", 9).generators(), id="GL(2,9) generators"),
+    pytest.param(lambda: _quotient_by_center(build.__wrapped__("GL2", 9)), id="GL(2,9)/Z"),
+    pytest.param(lambda: commuting_graph(direct_product(
+        build.__wrapped__("Z", 2), build.__wrapped__("GL2", 7))), id="Z2xGL(2,7) report"),
+])
+def test_products_need_no_table(run):
+    """Greedy generators, a quotient and a direct product, each built from
+    generator actions alone: a 5760-element table would take about 528 MiB,
+    and these peak at a few MiB.  `__wrapped__` skips the build cache."""
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

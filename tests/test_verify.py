@@ -43,8 +43,8 @@ def test_verbose_counts_go_to_stderr():
 
 @pytest.fixture
 def refuse_abelian_subgroups(monkeypatch):
-    # the subgroup walk is the tests' oracle: it fills a table and closes one
-    # subgroup per extension, so no run-time path may reach it
+    # the subgroup walk is the tests' oracle: it closes one subgroup per
+    # extension, so no run-time path may reach it
     def refuse(self):
         raise AssertionError("abelian_subgroups called on a run-time path")
 
@@ -53,7 +53,7 @@ def refuse_abelian_subgroups(monkeypatch):
 
 def test_bounds_suite_runs_without_the_abelian_subgroup_search(refuse_abelian_subgroups):
     # the largest abelian subgroup is read from centralizers and the clique
-    # number, so the suite never walks the subgroups or fills a table for them
+    # number, so the suite never walks the subgroups
     golden = json.loads((Path(__file__).parent / "golden" / "verify_all.json")
                         .read_text())
     payload = run_suites(["bounds"])
