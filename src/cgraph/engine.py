@@ -49,8 +49,9 @@ def _block_genus(block: SimpleGraph):
 
 
 def _block_sum(g: SimpleGraph) -> tuple:
-    """(vertices, shape, genus) of each block of g."""
-    return tuple((b, *_block_genus(g.induced_subgraph(b))) for b in g.blocks())
+    """(vertices, shape, genus) of each block of g; a block of all of g is g."""
+    return tuple((b, *_block_genus(g if len(b) == g.n else g.induced_subgraph(b)))
+                 for b in g.blocks())
 
 
 def _total(blocks) -> GenusResult:

@@ -12,17 +12,14 @@ is needed.
 from __future__ import annotations
 
 import math
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import NamedTuple
 
 # The most rotation systems, prod over vertices of (deg - 1)!, that the oracle
-# enumerates.  A system costs 8-11 us on 7- to 10-vertex blocks and 12-16 us on
-# the 14-vertex Heawood graph (CPython 3.11, 2-vCPU Xeon VM), so a search to
-# the end takes up to about 1-1.6 s.  Floored at 1, as the dispatcher does
-# after a failed planarity test, it stops at the first toroidal system: within
-# 9 ms on non-planar blocks of 41k-83k systems, 16 ms on the Heawood graph.
-# The gate counts every system all the same, so K_{1,3,3}, with 5,598,720
-# systems, is refused and gets bounds, though its floored search ends in 0.4 s.
+# enumerates: 2.5-4 us each on 5- to 10-vertex blocks, 5 us on the Heawood graph
+# (CPython 3.11, 2-vCPU Xeon VM), so up to 0.5 s to the end.  Floored at 1, a
+# search stops within 7 ms on the blocks in README's Limits.  K_{1,3,3}
+# (5,598,720 systems) is refused and gets bounds, though floored it takes 0.14 s.
 MAX_ROTATION_SYSTEMS = 10 ** 5
 
 
@@ -148,28 +145,33 @@ class SimpleGraph:
 
     def recognize_complete_bipartite(self):
         """(m, n) with m <= n if the graph is K_{m,n} with m, n >= 1, else None."""
-        if self.edge_count == 0:
-            return None
-        # K_{m,n} is connected, so one traversal 2-colours all of it
-        colour, stack = {0: 0}, [0]
-        while stack:
-            u = stack.pop()
-            for w in self.adj[u]:
-                if w not in colour:
-                    colour[w] = 1 - colour[u]
-                    stack.append(w)
-                elif colour[w] == colour[u]:
-                    return None
-        if len(colour) < self.n:
+        if self.edge_count == 0 or (colour := self._two_colouring()) is None:
             return None
         # E = m * n makes every pair across the colour classes an edge
-        ones = sum(colour.values())
-        m, n = sorted((ones, self.n - ones))
+        m, n = sorted((sum(colour), self.n - sum(colour)))
         return (m, n) if self.edge_count == m * n else None
 
+    def _two_colouring(self):
+        """A colour 0 or 1 per vertex that differs along every edge, one search
+        per component, or None if an odd cycle forbids it."""
+        colour = [-1] * self.n
+        for root in range(self.n):
+            if colour[root] < 0:
+                colour[root], queue = 0, [root]
+                for u in queue:  # `queue` grows while it is walked
+                    for w in self.adj[u]:
+                        if colour[w] < 0:
+                            colour[w] = 1 - colour[u]
+                            queue.append(w)
+                        elif colour[w] == colour[u]:
+                            return None
+        return colour
+
     def is_planar(self) -> bool:
-        """No when E > 3V - 6, else whether every block is planar."""
-        if self.n >= 3 and self.edge_count > 3 * self.n - 6:
+        """No when E > 3V - 6, or E > 2V - 4 on a bipartite graph, whose faces
+        have at least four sides; else whether every block is planar."""
+        n, e = self.n, self.edge_count
+        if n >= 3 and e > 2 * n - 4 and (e > 3 * n - 6 or self._two_colouring()):
             return False
         # a block of at most four vertices is a subgraph of K4
         return all(_planar_block({v: self.adj[v].intersection(b) for v in b})
@@ -390,8 +392,7 @@ def genus_oracle(g: SimpleGraph, lower: int = 0):
     """
     if not g.is_connected():
         raise ValueError("genus oracle requires a connected graph")
-    e = g.edge_count
-    v = g.n
+    v, e = g.n, g.edge_count
     if e == 0:
         return 0
     adj = g.adj
@@ -400,32 +401,41 @@ def genus_oracle(g: SimpleGraph, lower: int = 0):
         systems *= math.factorial(len(adj[a]) - 1)
         if systems > MAX_ROTATION_SYSTEMS:
             return None
-    darts = [(a, b) for a in range(v) for b in adj[a]]
     floor_genus = max(lower, genus_lower_bound_euler(g))
 
-    # Cyclic orders at a vertex as successor maps: fix the smallest neighbour,
-    # permute the rest.
-    orders = []
-    for a in range(v):
-        head, *rest = sorted(adj[a])
-        orders.append([dict(zip((head,) + p, p + (head,)))
-                       for p in permutations(rest)])
+    # Darts are integers, those into b a run in the order of b's neighbours, so
+    # the face permutation phi (a -> b, then b -> a's successor at b) is a flat
+    # list, and each cyclic order at b, its least neighbour fixed, fills b's run.
+    nbrs = [sorted(adj[b]) for b in range(v)]
+    dart = {ab: i for i, ab in enumerate((a, b) for b in range(v) for a in nbrs[b])}
+    phi, runs = [0] * 2 * e, []  # runs: (run, fills) of the vertices with a choice
+    for b in range(v):
+        out = [dart[b, c] for c in nbrs[b]]
+        run = slice(dart[nbrs[b][0], b], dart[nbrs[b][-1], b] + 1)
+        fills = [[out[y] for _, y in sorted(zip((0,) + p, p + (0,)))]
+                 for p in permutations(range(1, len(out)))]
+        phi[run] = fills[0]
+        if len(fills) > 1:
+            runs.append((run, fills))
 
-    best = None
-    for succ in product(*orders):
-        # the dart (a, b) is followed on its face by (b, succ[b][a])
-        unseen = set(darts)
-        faces = 0
-        for dart in darts:
-            if dart in unseen:
-                faces += 1
-                a, b = dart
-                while (a, b) in unseen:
-                    unseen.remove((a, b))
-                    a, b = b, succ[b][a]
-        genus = (2 - v + e - faces) // 2
-        if best is None or genus < best:
-            best = genus
-            if best == floor_genus:
+    choice, best = [0] * len(runs), math.inf
+    while True:
+        seen, faces, d = bytearray(2 * e), 0, 0
+        while d >= 0:  # a face is a cycle of phi
+            faces += 1
+            while not seen[d]:
+                seen[d] = 1
+                d = phi[d]
+            d = seen.find(0, d)
+        best = min(best, (2 - v + e - faces) // 2)
+        if best == floor_genus:
+            return best
+        # the next system, the last vertex turning fastest as in product()
+        for k in reversed(range(len(runs))):
+            run, fills = runs[k]
+            choice[k] = (choice[k] + 1) % len(fills)
+            phi[run] = fills[choice[k]]
+            if choice[k]:
                 break
-    return best
+        else:
+            return best

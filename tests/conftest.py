@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from typing import NamedTuple
@@ -40,6 +41,16 @@ def table_of(group):
         p, s = parents[y]
         columns[y] = list(map(right[s].__getitem__, columns[p]))
     return list(zip(*columns))
+
+
+def peak_bytes(run):
+    """The peak of the memory Python allocates while `run()` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @st.composite

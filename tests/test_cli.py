@@ -10,7 +10,7 @@ import cgraph
 from cgraph.catalog import catalog_entries
 from cgraph.cli import main
 from cgraph.groups import MAX_ORDER
-from conftest import LATIN5, invoke, table_of
+from conftest import LATIN5, invoke, peak_bytes, table_of
 
 
 def invoke_json(args):
@@ -398,7 +398,8 @@ def test_unwritable_out_exits_2(tmp_path, args):
 @pytest.mark.parametrize("name, param", [("PSL2", 8), ("GL2", 5), ("D", 400)])
 def test_reports_never_fill_the_table(monkeypatch, command, name, param):
     """`genus` and `info` read centralizers, orders and the center class by
-    class, so the n^2 table of a fresh build is never filled."""
+    class, so the n^2 table of a fresh build is never filled: a table holds
+    a pointer per product, 8 * order^2 bytes, twice the bound."""
     from cgraph import catalog
     built, uncached = [], catalog.build.__wrapped__
 
@@ -406,5 +407,5 @@ def test_reports_never_fill_the_table(monkeypatch, command, name, param):
         built.append(uncached(*args))
         return built[-1]
     monkeypatch.setattr(catalog, "build", fresh)
-    invoke_json([command, "--name", name, "--param", str(param)])
-    assert built and all("table" not in vars(group) for group in built)
+    peak = peak_bytes(lambda: invoke_json([command, "--name", name, "--param", str(param)]))
+    assert built and peak < 4 * min(group.order for group in built) ** 2

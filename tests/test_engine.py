@@ -19,7 +19,7 @@ from cgraph import (
 )
 from cgraph.catalog import build, catalog_entries, report_for
 from cgraph.engine import _block_sum, _total
-from conftest import complete_bipartite_graph, permutation_generators
+from conftest import complete_bipartite_graph, peak_bytes, permutation_generators
 
 from cgraph import SimpleGraph
 
@@ -376,12 +376,15 @@ def test_bound_rows_match_brute_force_on_random_non_ac_groups(gens):
 ])
 def test_bound_checks_on_large_groups_fill_no_table(family, q, observed):
     # uncached: a fresh build, which no other test has touched; the values
-    # are those of the brute-force search over abelian subgroups
-    group = build.__wrapped__(family, q)
-    rows = check_bounds_against_group(commuting_graph(group))
+    # are those of the brute-force search over abelian subgroups.  A table
+    # holds a pointer per product, 8 * order^2 bytes, twice the bound
+    rows = []
+
+    def run():
+        rows.extend(check_bounds_against_group(commuting_graph(build.__wrapped__(family, q))))
+    assert peak_bytes(run) < 4 * observed[3] ** 2
     assert tuple(row["observed"] for row in rows) == observed
     assert all(row["ok"] for row in rows)
-    assert "table" not in vars(group)
 
 
 def test_report_carries_the_heawood_bounds_of_an_exact_genus():

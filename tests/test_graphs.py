@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import networkx as nx
 import pytest
@@ -19,7 +19,10 @@ from cgraph import (
     max_clique,
 )
 
+from cgraph import graphs
 from cgraph.catalog import build
+from cgraph.engine import _block_genus, _block_sum
+from cgraph.graphs import MAX_ROTATION_SYSTEMS
 from conftest import complete_bipartite_graph, complete_graph
 
 
@@ -158,6 +161,45 @@ def test_maximal_planar_graphs_and_one_edge_more(n):
 ], ids=["octahedron", "icosahedron", "petersen", "heawood", "lattice231"])
 def test_is_planar_named_graphs(h, planar):
     assert from_nx(h).is_planar() == planar
+
+
+def k44_minus_matching(k):
+    """K_{4,4} less k edges of a perfect matching: 16 - k edges."""
+    return SimpleGraph(8, [(i, 4 + j) for i in range(4) for j in range(4)
+                           if i != j or i >= k])
+
+
+@pytest.mark.parametrize("g, planar, path_embedded", [
+    (from_nx(nx.hypercube_graph(3)), True, True),    # E = 2V - 4 = 12: not cut
+    (k44_minus_matching(3), False, False),           # E = 13 > 12: cut
+    (from_nx(nx.heawood_graph()), False, True),      # E = 21 <= 24: not cut
+], ids=["cube", "k44-minus-3", "heawood"])
+def test_bipartite_edge_cut(monkeypatch, g, planar, path_embedded):
+    # a bipartite graph with V >= 3 and E > 2V - 4 is refused without the
+    # path embedding, since each of its faces has at least four sides
+    assert g._two_colouring() is not None
+    embedded, embed = [], graphs._planar_block
+    monkeypatch.setattr(graphs, "_planar_block",
+                        lambda adj: embedded.append(adj) or embed(adj))
+    assert g.is_planar() == planar == nx.is_planar(to_nx(g))
+    assert bool(embedded) == path_embedded
+
+
+def test_a_one_block_graph_is_dispatched_without_a_copy(monkeypatch):
+    cases = [complete_graph(6), k44_minus_matching(3), from_nx(nx.petersen_graph()),
+             from_nx(nx.heawood_graph()), from_nx(nx.hypercube_graph(3))]
+    # the triples of the block's induced copy, as the copy is the graph itself
+    expected = [tuple((b, *_block_genus(g.induced_subgraph(b))) for b in g.blocks())
+                for g in cases]
+    assert all(len(blocks) == 1 and len(blocks[0][0]) == g.n
+               for g, blocks in zip(cases, expected))
+
+    def refuse(*args):
+        raise AssertionError("a one-block graph is copied")
+    monkeypatch.setattr(SimpleGraph, "induced_subgraph", refuse)
+    for g, blocks in zip(cases, expected):
+        assert _block_sum(g) == blocks
+        assert genus_of_graph(g) == blocks[0][2]
 
 
 def test_is_planar_subdivided_kuratowski_graphs(k5):
@@ -325,6 +367,60 @@ def test_oracle_against_planarity_bounds_and_block_sum(g):
     assert result.is_exact and result.value == genus
 
 
+def reference_genus_oracle(g: SimpleGraph, lower: int = 0):
+    """The rotation oracle as a flat product over dict successor maps and
+    tuple darts: the reference that `genus_oracle` must agree with."""
+    if not g.is_connected():
+        raise ValueError("genus oracle requires a connected graph")
+    e = g.edge_count
+    v = g.n
+    if e == 0:
+        return 0
+    adj = g.adj
+    systems = 1
+    for a in range(v):  # every degree is >= 1 in a connected graph with an edge
+        systems *= math.factorial(len(adj[a]) - 1)
+        if systems > MAX_ROTATION_SYSTEMS:
+            return None
+    darts = [(a, b) for a in range(v) for b in adj[a]]
+    floor_genus = max(lower, genus_lower_bound_euler(g))
+
+    # Cyclic orders at a vertex as successor maps: fix the smallest neighbour,
+    # permute the rest.
+    orders = []
+    for a in range(v):
+        head, *rest = sorted(adj[a])
+        orders.append([dict(zip((head,) + p, p + (head,)))
+                       for p in permutations(rest)])
+
+    best = None
+    for succ in product(*orders):
+        # the dart (a, b) is followed on its face by (b, succ[b][a])
+        unseen = set(darts)
+        faces = 0
+        for dart in darts:
+            if dart in unseen:
+                faces += 1
+                a, b = dart
+                while (a, b) in unseen:
+                    unseen.remove((a, b))
+                    a, b = b, succ[b][a]
+        genus = (2 - v + e - faces) // 2
+        if best is None or genus < best:
+            best = genus
+            if best == floor_genus:
+                break
+    return best
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_graphs())
+def test_oracle_matches_the_flat_product_reference(g):
+    assert genus_oracle(g) == reference_genus_oracle(g)
+    if not nx.is_planar(to_nx(g)):  # so 1 is a proven floor
+        assert genus_oracle(g, lower=1) == reference_genus_oracle(g, lower=1)
+
+
 @settings(max_examples=50, deadline=None)
 @given(oracle_graphs(), st.data())
 def test_oracle_is_invariant_under_relabelling(g, data):
@@ -391,9 +487,15 @@ def test_blocks_and_girth_match_networkx(graph):
 @st.composite
 def planarity_graphs(draw):
     """(n, edge list) with n <= 12 and at most 3n edges drawn, repeats allowed,
-    so that sparse non-planar graphs turn up as well as dense ones."""
+    so that sparse non-planar graphs turn up as well as dense ones; or, half
+    the time, K_{k,n-k} less at most n edges, on both sides of E = 2n - 4."""
     n = draw(st.integers(0, 12))
     pairs = list(combinations(range(n), 2))
+    if draw(st.booleans()):
+        k = draw(st.integers(n // 3, n - n // 3))
+        pairs = [(i, j) for i, j in pairs if i < k <= j]
+        return n, sorted(set(pairs) - draw(st.sets(st.sampled_from(pairs), max_size=n))
+                         if pairs else ())
     return n, draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []
 
 

@@ -1,7 +1,6 @@
 import itertools
 import operator
 import random
-import tracemalloc
 from collections import Counter
 from itertools import compress
 
@@ -19,7 +18,7 @@ from cgraph import (
 from cgraph.catalog import build, catalog_entries
 from cgraph.groups import MAX_ORDER, parse_cycles, perm_cycle_label
 from cgraph.engine import commuting_graph
-from conftest import LATIN5, permutation_generators, table_of
+from conftest import LATIN5, peak_bytes, permutation_generators, table_of
 
 
 def s3():
@@ -393,12 +392,9 @@ def test_repeated_generator_lines_are_parsed_once():
     # one line 2000 times, and 502 spellings of the same permutation
     spellings = "".join(f"(1{' ' * k}2)\n" for k in range(1, 501)) + "(2 1)\n(1,2)\n"
     for body in ("(1 2)\n" * 2000, spellings):
-        tracemalloc.start()
-        try:
-            repeated = group_from_file_text(header + body)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        parsed = []
+        peak = peak_bytes(lambda: parsed.append(group_from_file_text(header + body)))
+        repeated, = parsed
         assert repeated.order == 2
         assert table_of(repeated) == table_of(once)
         assert peak < 50 * 2**20  # a parsed degree-6000 tuple takes about 220 KiB
@@ -648,10 +644,4 @@ def test_products_need_no_table(run):
     """Greedy generators, a quotient and a direct product, each built from
     generator actions alone: a 5760-element table would take about 528 MiB,
     and these peak at a few MiB.  `__wrapped__` skips the build cache."""
-    tracemalloc.start()
-    try:
-        run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak_bytes(run) < 64 * 2**20
