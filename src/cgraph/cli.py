@@ -13,7 +13,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import catalog
-from .engine import commuting_graph, commuting_graph_of, report_to_json, to_json_text
+from .engine import _vertices, commuting_graph, commuting_graph_of, report_to_json, to_json_text
 from .groups import FiniteGroup, group_from_file_text
 from .verify import SUITES, run_suites
 
@@ -23,6 +23,8 @@ EXIT_USAGE = 2
 
 def _load_group(name, param, path) -> tuple[FiniteGroup, str]:
     if path is not None:
+        if param is not None:
+            raise ValueError("--param does not apply to a group --file")
         try:
             text = Path(path).read_text()
         except OSError as exc:
@@ -80,7 +82,7 @@ def export_dot(name, param, path, out):
     """Write the commuting graph in DOT format."""
     group, label = _load_group(name, param, path)
     graph = commuting_graph_of(group)
-    _write(out, graph.to_dot(name=label))
+    _write(out, graph.to_dot(label, [group.labels[x] for x in _vertices(group)]))
     sys.stdout.write(to_json_text({"written": str(out), "vertices": graph.n,
                                    "edges": graph.edge_count}))
     return 0

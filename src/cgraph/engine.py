@@ -97,13 +97,12 @@ def _vertices(group: FiniteGroup) -> tuple:
 
 def commuting_graph_of(group: FiniteGroup) -> SimpleGraph:
     """The graph on G \\ Z(G) with edges between distinct commuting elements;
-    vertex i is the i-th non-central element in ascending order, with its label."""
+    vertex i is the i-th non-central element in ascending order."""
     vertices = _vertices(group)
     pos = {x: i for i, x in enumerate(vertices)}
     edges = [(pos[x], pos[y])
              for x in vertices for y in group.centralizer(x) if y > x and y in pos]
-    labels = [group.labels[x] for x in vertices]
-    return SimpleGraph(len(vertices), edges, labels)
+    return SimpleGraph(len(vertices), edges)
 
 
 def _family_blocks(family, vertices):

@@ -27,7 +27,9 @@ class SimpleGraph:
     """An undirected simple graph on vertices 0..n-1; adj[v] is the set of
     v's neighbours."""
 
-    def __init__(self, n, edges=(), labels=None):
+    def __init__(self, n, edges=()):
+        if n < 0:
+            raise ValueError("vertex count cannot be negative")
         self.n = n
         self.adj = [set() for _ in range(n)]
         for u, v in edges:
@@ -38,18 +40,12 @@ class SimpleGraph:
             self.adj[u].add(v)
             self.adj[v].add(u)
         self.edge_count = sum(map(len, self.adj)) // 2
-        self.labels = list(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError(f"{len(self.labels)} labels for {n} vertices")
 
     def edges(self):
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
 
     def has_edge(self, u, v):
         return 0 <= u < self.n and v in self.adj[u]
-
-    def label(self, u):
-        return self.labels[u] if self.labels else str(u)
 
     # -- derived graphs ---------------------------------------------------
 
@@ -63,8 +59,7 @@ class SimpleGraph:
         pos = {v: i for i, v in enumerate(vs)}
         adj = self.adj
         edges = [(pos[u], pos[v]) for u in vs for v in adj[u] if v in pos and u < v]
-        labels = [self.label(v) for v in vs] if self.labels else None
-        return SimpleGraph(len(vs), edges, labels)
+        return SimpleGraph(len(vs), edges)
 
     # -- connectivity -----------------------------------------------------
 
@@ -179,12 +174,18 @@ class SimpleGraph:
 
     # -- serialization ----------------------------------------------------
 
-    def to_dot(self, name="graph") -> str:
+    def to_dot(self, name="graph", labels=None) -> str:
+        """The graph in DOT, vertex v drawn as labels[v], or as v without labels."""
+        if labels is None:
+            labels = [str(v) for v in range(self.n)]
+        elif len(labels) != self.n:
+            raise ValueError(f"{len(labels)} labels for {self.n} vertices")
+
         def quoted(text):  # a DOT string ends at the first unescaped quote
             return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
         lines = [f"graph {quoted(name)} {{"]
-        for v in range(self.n):
-            lines.append(f"  {v} [label={quoted(self.label(v))}];")
+        for v, text in enumerate(labels):
+            lines.append(f"  {v} [label={quoted(text)}];")
         for u, v in self.edges():
             lines.append(f"  {u} -- {v};")
         lines.append("}")
@@ -390,8 +391,7 @@ def genus_oracle(g: SimpleGraph, lower: int = 0):
     bound), so `lower` must be a genus the caller has proven, e.g. 1 after a
     failed planarity test.
     """
-    if not g.is_connected():
-        raise ValueError("genus oracle requires a connected graph")
+    floor_genus = max(lower, genus_lower_bound_euler(g))  # refuses a disconnected g
     v, e = g.n, g.edge_count
     if e == 0:
         return 0
@@ -401,7 +401,6 @@ def genus_oracle(g: SimpleGraph, lower: int = 0):
         systems *= math.factorial(len(adj[a]) - 1)
         if systems > MAX_ROTATION_SYSTEMS:
             return None
-    floor_genus = max(lower, genus_lower_bound_euler(g))
 
     # Darts are integers, those into b a run in the order of b's neighbours, so
     # the face permutation phi (a -> b, then b -> a's successor at b) is a flat

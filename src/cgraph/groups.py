@@ -30,6 +30,13 @@ from .fields import FieldContext, Mat2
 MAX_ORDER = 6000
 
 
+def _index(g, n) -> int:
+    """g, an element index, if it is in 0..n-1; else ValueError."""
+    if not 0 <= g < n:
+        raise ValueError(f"index {g} is outside 0..{n - 1}")
+    return g
+
+
 def _greedy_closure(n, candidates, word):
     """The greedy picks among `candidates`, each one that the earlier picks
     do not generate, and the tree (right, parents, bfs) of their closure, a
@@ -40,9 +47,7 @@ def _greedy_closure(n, candidates, word):
     picks, words, right = [], [], []
     parents, bfs = [None] * n, [0]
     for g in candidates:
-        if not 0 <= g < n:
-            raise ValueError(f"index {g} is outside 0..{n - 1}")
-        if g == 0 or parents[g] is not None:
+        if g == 0 or parents[_index(g, n)] is not None:
             continue
         picks.append(g)
         words.append(word(g))
@@ -81,7 +86,7 @@ class FiniteGroup:
 
     @cached_property
     def labels(self) -> list:
-        """One string per element, rendered on first read: an AC report reads none."""
+        """One string per element, rendered on first read: no report reads them."""
         if self._labels is None:
             return [str(i) for i in range(self.order)]
         return list(self._labels)
@@ -100,12 +105,13 @@ class FiniteGroup:
     # -- basic arithmetic -------------------------------------------------
 
     def mul(self, x: int, y: int) -> int:
-        for act in self._word(y):
+        x = _index(x, self.order)
+        for act in self._word(_index(y, self.order)):
             x = act[x]
         return x
 
     def element_order(self, x: int) -> int:
-        return self._power_orders[0][x]
+        return self._power_orders[0][_index(x, self.order)]
 
     # -- conjugacy classes -----------------------------------------------
 
@@ -227,7 +233,7 @@ class FiniteGroup:
         return orders, exponent
 
     def centralizer(self, x: int) -> tuple:
-        return self._centralizers[x]
+        return self._centralizers[_index(x, self.order)]
 
     @cached_property
     def _center(self) -> tuple:

@@ -316,6 +316,41 @@ def test_bad_header_number_exits_2(tmp_path, text, message):
     assert one_line_error(result) == f"Error: {message}"
 
 
+@pytest.mark.parametrize("source, message", [
+    # builders whose order formula passes a parameter that they refuse
+    (["--name", "D", "--param", "7"], "dihedral group order must be even and >= 6, got 7"),
+    (["--name", "Q", "--param", "6"], "dicyclic group order must be 4n with n >= 2, got 6"),
+    (["--name", "SD", "--param", "8"],
+     "semidihedral group order must be 2^k with k >= 4, got 8"),
+    (["--name", "GL2", "--param", "6"], "unsupported field order 6"),
+    # group files, given as their text
+    ("# only a comment\n", "line 1: empty group file"),
+    ("order 2\n", "line 1: missing 'table' or 'perm-generators' section"),
+    ("order 2\ntable\n0 1\n", "line 2: expected 2 table rows, got 1"),
+    ("order 2\ntable\n0 x\n1 0\n", "line 3: non-integer entry in '0 x'"),
+    ("order 2\nperm-generators 2\n(1 a)\n", "line 3: non-integer point in cycle (1 a)"),
+    ("order 2\ngenerators 2\n(1 2)\n", "line 2: unknown section 'generators'"),
+], ids=["D7", "Q6", "SD8", "GL2-6", "empty-file", "no-section", "row-count",
+        "table-entry", "cycle-point", "unknown-section"])
+def test_input_errors_exit_2_with_one_line(tmp_path, source, message):
+    if isinstance(source, str):
+        path = tmp_path / "bad.group"
+        path.write_text(source)
+        source = ["--file", str(path)]
+    result = invoke(["info", *source])
+    assert one_line_error(result) == f"Error: {message}"
+    assert "Traceback" not in result.stderr
+
+
+def test_param_with_a_group_file_exits_2(tmp_path):
+    # a file names its own group, so a --param would be ignored
+    path = tmp_path / "s3.group"
+    path.write_text("order 6\nperm-generators 3\n(1 2)\n(1 2 3)\n")
+    result = invoke(["info", "--file", str(path), "--param", "99"])
+    assert one_line_error(result) == "Error: --param does not apply to a group --file"
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("line, point", [("(1 2 3)(3 2 1)", 3), ("(1 2)(1 3)", 1)])
 def test_non_disjoint_cycles_exit_2_at_their_line(tmp_path, line, point):
     path = tmp_path / "overlap.group"

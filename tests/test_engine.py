@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import pytest
@@ -19,7 +20,7 @@ from cgraph import (
 )
 from cgraph.catalog import build, catalog_entries, report_for
 from cgraph.engine import _block_sum, _total
-from conftest import complete_bipartite_graph, peak_bytes, permutation_generators
+from conftest import complete_bipartite_graph, invoke, peak_bytes, permutation_generators
 
 from cgraph import SimpleGraph
 
@@ -118,7 +119,10 @@ def test_commuting_graph_of_s3_is_three_isolated_edges_short():
     group = build("S", 3)
     graph = commuting_graph_of(group)
     assert graph.n == 5
-    assert [graph.label(v) for v in range(graph.n)] == group.labels[1:]
+    assert set(vars(graph)) == {"n", "adj", "edge_count"}  # no vertex names
+    # vertex v is element v + 1, and the one edge joins the two 3-cycles
+    assert [(group.labels[u + 1], group.labels[v + 1]) for u, v in graph.edges()] == \
+        [("(1 2 3)", "(1 3 2)")]
     assert graph.edge_count == 1
     assert graph.girth() == math.inf
 
@@ -167,7 +171,10 @@ def assert_report_matches_the_graph(group):
     its centralizer family, against the graph's blocks too."""
     report = commuting_graph(group)
     graph = commuting_graph_of(group)
-    assert graph.labels == [group.labels[x] for x in report.vertex_elements]
+    # graph vertex v is the element report.vertex_elements[v]
+    element = report.vertex_elements
+    assert all(group.mul(element[u], element[v]) == group.mul(element[v], element[u])
+               for u, v in graph.edges())
     assert (len(report.vertex_elements), report.edge_count, report.girth) == \
         (graph.n, graph.edge_count, graph.girth())
     if report.is_ac:
@@ -190,18 +197,30 @@ def test_report_matches_the_graph_on_random_groups(gens):
 
 
 def test_ac_report_renders_no_labels():
-    group = build.__wrapped__("D", 400)  # uncached: no other test has read its labels
-    commuting_graph(group)
+    # uncached groups, whose labels no other test has read: no report renders
+    # them, AC (D400) or not (S5, S6), and no bound check (S4)
+    for name, param in [("D", 400), ("S", 5), ("S", 6)]:
+        group = build.__wrapped__(name, param)
+        commuting_graph(group)
+        assert "labels" not in vars(group), group.name
+    group = build.__wrapped__("S", 4)
+    check_bounds_against_group(commuting_graph(group))
     assert "labels" not in vars(group)
     assert group.labels[0] == "()" and "labels" in vars(group)
 
 
-def test_vertex_elements_and_labels_align():
-    group = build("Q", 8)
-    report = commuting_graph(group)
-    graph = commuting_graph_of(group)
-    for v, element in enumerate(report.vertex_elements):
-        assert graph.label(v) == group.labels[element]
+def test_vertex_elements_and_labels_align(tmp_path):
+    # export-dot draws graph vertex v as the label of report.vertex_elements[v]
+    for name, param in [("Q", 8), ("S", 4)]:
+        group = build(name, param)
+        report = commuting_graph(group)
+        out = tmp_path / f"{name}{param}.dot"
+        result = invoke(["export-dot", "--name", name, "--param", str(param),
+                         "--out", str(out)])
+        assert result.exit_code == 0, result.stderr
+        drawn = re.findall(r'^  (\d+) \[label="(.*)"\];$', out.read_text(), re.M)
+        assert drawn == [(str(v), group.labels[x])
+                         for v, x in enumerate(report.vertex_elements)]
 
 
 # -- family formulas -------------------------------------------------------
@@ -219,6 +238,14 @@ def test_family_params_validation():
         family_genus("PQ", 2, 9)        # 9 is not prime
     with pytest.raises(ValueError, match="prime power"):
         family_genus("GL2", 6)
+    with pytest.raises(ValueError, match="n >= 2"):
+        family_genus("Dicyclic", 1)
+    with pytest.raises(ValueError, match="a prime p"):
+        family_genus("PCubed", 4)
+    with pytest.raises(ValueError, match="k >= 2"):
+        family_genus("PSL2", 1)
+    with pytest.raises(ValueError, match="q > 2"):
+        family_genus("GL2", 2)
     with pytest.raises(ValueError, match="base family sizes"):
         family_genus("AbelianTimesAC", 2, ())
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cgraph import (
+    GenusResult,
     SimpleGraph,
     commuting_graph_of,
     disjoint_clique_lower_bound,
@@ -52,8 +53,8 @@ def test_construction_validation():
         SimpleGraph(3, [(0, 0)])
     with pytest.raises(ValueError):
         SimpleGraph(3, [(0, 3)])
-    with pytest.raises(ValueError, match="1 labels for 3 vertices"):
-        SimpleGraph(3, [(0, 1)], labels=["a"])
+    with pytest.raises(ValueError, match="vertex count cannot be negative"):
+        SimpleGraph(-3)
     g = SimpleGraph(3, [(0, 1), (1, 0)])  # duplicate edges collapse
     assert g.edge_count == 1
 
@@ -220,15 +221,19 @@ def test_is_planar_on_the_s5_block():
 
 
 def test_to_dot():
-    g = SimpleGraph(2, [(0, 1)], labels=["a", "b"])
-    text = g.to_dot(name="pair")
+    g = SimpleGraph(2, [(0, 1)])
+    text = g.to_dot(name="pair", labels=["a", "b"])
     assert 'graph "pair" {' in text
     assert '0 [label="a"];' in text
     assert "0 -- 1;" in text
     assert text.endswith("}\n")
+    # without labels a vertex is drawn as its index
+    assert g.to_dot() == 'graph "graph" {\n  0 [label="0"];\n  1 [label="1"];\n  0 -- 1;\n}\n'
     # quotes and backslashes in the name and the labels are escaped
-    text = SimpleGraph(1, [], labels=['x"\\']).to_dot(name='my"s3')
+    text = SimpleGraph(1).to_dot(name='my"s3', labels=['x"\\'])
     assert text == 'graph "my\\"s3" {\n  0 [label="x\\"\\\\"];\n}\n'
+    with pytest.raises(ValueError, match="1 labels for 3 vertices"):
+        SimpleGraph(3, [(0, 1)]).to_dot(labels=["a"])
 
 
 # -- formulas and bounds ---------------------------------------------------
@@ -258,8 +263,18 @@ def test_euler_and_betti_bounds(k5):
     assert genus_lower_bound_euler(complete_graph(7)) == 1
     assert genus_upper_bound_betti(cycle_graph(6)) == 0
     assert genus_lower_bound_euler(path_graph(2)) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="connected"):
         genus_lower_bound_euler(SimpleGraph(3))
+    with pytest.raises(ValueError, match="connected"):
+        genus_upper_bound_betti(SimpleGraph(3, [(0, 1)]))
+
+
+def test_genus_result_refuses_a_negative_genus_and_an_empty_interval():
+    with pytest.raises(ValueError, match="genus cannot be negative"):
+        GenusResult.exact(-1, "CompleteFormula")
+    with pytest.raises(ValueError, match=r"invalid bounds \[3, 2\]"):
+        GenusResult.bounds(3, 2)
+    assert GenusResult.bounds(2, 2).is_exact is False
 
 
 def test_bounds_sandwich_exact_genus():
@@ -334,7 +349,7 @@ def test_oracle_heawood_graph_runs_to_the_end():
 
 def test_oracle_returns_none_over_system_limit(k133):
     assert genus_oracle(k133) is None
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="connected"):
         genus_oracle(SimpleGraph(2))  # disconnected
 
 

@@ -187,6 +187,19 @@ def test_indices_outside_the_group_are_refused():
         g.subgroup_closure([-1])
     with pytest.raises(ValueError, match=r"index 7 is outside 0\.\.5"):
         g.quotient({0, 7})
+    # and so do products, centralizers and orders: on D8, -1 would read
+    # element 7 and 8 would raise IndexError
+    g = build("D", 8)
+    with pytest.raises(ValueError, match=r"index -1 is outside 0\.\.7"):
+        g.centralizer(-1)
+    with pytest.raises(ValueError, match=r"index 8 is outside 0\.\.7"):
+        g.centralizer(8)
+    with pytest.raises(ValueError, match=r"index -1 is outside 0\.\.7"):
+        g.mul(0, -1)
+    with pytest.raises(ValueError, match=r"index 8 is outside 0\.\.7"):
+        g.mul(8, 0)
+    with pytest.raises(ValueError, match=r"index 8 is outside 0\.\.7"):
+        g.element_order(8)
 
 
 def test_center_and_centralizer_examples():
