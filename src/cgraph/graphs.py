@@ -12,14 +12,18 @@ is needed.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import NamedTuple
 
 # The most rotation systems, prod over vertices of (deg - 1)!, that the oracle
-# enumerates: 2.5-4 us each on 5- to 10-vertex blocks, 5 us on the Heawood graph
-# (CPython 3.11, 2-vCPU Xeon VM), so up to 0.5 s to the end.  Floored at 1, a
-# search stops within 7 ms on the blocks in README's Limits.  K_{1,3,3}
-# (5,598,720 systems) is refused and gets bounds, though floored it takes 0.14 s.
+# accepts.  It turns all but the busiest vertex, the hub, at about 2 us a
+# setting, and scores the hub's orders at 0.5 us each for a new walk map
+# (CPython 3.11, 2-vCPU AMD EPYC VM): to the end, 3 ms on a 41,472-system
+# block, 14 ms on the Heawood graph and 61 ms on the Moebius-Kantor graph,
+# whose hubs have 2 orders.  Floored at 1, Heawood takes 0.6 ms.  K_{1,3,3}
+# (5,598,720 systems but 46,656 settings) is refused and gets bounds, though
+# floored it takes 13 ms.
 MAX_ROTATION_SYSTEMS = 10 ** 5
 
 
@@ -381,15 +385,36 @@ def max_clique(g: SimpleGraph):
 
 # -- exact genus oracle ----------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _cyclic_orders(k):
+    """The cyclic orders of 0..k-1 as successor lists, 0 followed by each
+    permutation of 1..k-1."""
+    orders = []
+    for p in permutations(range(1, k)):
+        succ, last = [0] * k, 0
+        for x in p:
+            succ[last] = last = x
+        orders.append(succ)
+    return orders
+
+
 def genus_oracle(g: SimpleGraph, lower: int = 0):
     """Exact genus by a search over rotation systems.
 
-    Enumerates every assignment of a cyclic order of incident edges at each
-    vertex, traces faces and applies Euler's formula; the minimum over all
+    Covers every assignment of a cyclic order of incident edges at each
+    vertex, counts faces and applies Euler's formula; the minimum over all
     systems is the orientable genus.  Returns None past MAX_ROTATION_SYSTEMS
     systems.  Stops early at the first system of genus max(lower, Euler lower
     bound), so `lower` must be a genus the caller has proven, e.g. 1 after a
     failed planarity test.
+
+    The vertex of highest degree, the hub, leaves the enumeration (as in G.
+    Brinkmann's practical genus algorithm, Ars Math. Contemp. 2022).  For
+    each setting of the other vertices, one walk along phi from each of the
+    hub's out-darts to the next dart into it gives a map w on the hub's
+    positions, and the faces through the hub under its cyclic order succ are
+    the cycles of i -> w[succ[i]]: O(deg) per order, and the best order for
+    each w is remembered.  The floor is checked after every order.
     """
     floor_genus = max(lower, genus_lower_bound_euler(g))  # refuses a disconnected g
     v, e = g.n, g.edge_count
@@ -404,32 +429,67 @@ def genus_oracle(g: SimpleGraph, lower: int = 0):
 
     # Darts are integers, those into b a run in the order of b's neighbours, so
     # the face permutation phi (a -> b, then b -> a's successor at b) is a flat
-    # list, and each cyclic order at b, its least neighbour fixed, fills b's run.
+    # list, and each cyclic order at b fills b's run.  The hub's run is never
+    # read: the walks stop at the hub's in-darts, which start out seen.
     nbrs = [sorted(adj[b]) for b in range(v)]
+    hub = max(range(v), key=lambda b: len(nbrs[b]))
     dart = {ab: i for i, ab in enumerate((a, b) for b in range(v) for a in nbrs[b])}
-    phi, runs = [0] * 2 * e, []  # runs: (run, fills) of the vertices with a choice
+    phi, runs = [0] * 2 * e, []  # runs: (run, fills) of non-hub vertices with a choice
     for b in range(v):
         out = [dart[b, c] for c in nbrs[b]]
+        if b == hub:
+            hub_out, first = out, dart[nbrs[b][0], b]
+            hub_in = bytearray(2 * e)
+            hub_in[first:first + len(out)] = b"\1" * len(out)
+            continue
         run = slice(dart[nbrs[b][0], b], dart[nbrs[b][-1], b] + 1)
-        fills = [[out[y] for _, y in sorted(zip((0,) + p, p + (0,)))]
-                 for p in permutations(range(1, len(out)))]
+        fills = [[out[y] for y in succ] for succ in _cyclic_orders(len(out))]
         phi[run] = fills[0]
         if len(fills) > 1:
             runs.append((run, fills))
 
+    hub_orders, most_cycles = _cyclic_orders(len(hub_out)), {}  # w -> most hub faces
     choice, best = [0] * len(runs), math.inf
     while True:
-        seen, faces, d = bytearray(2 * e), 0, 0
-        while d >= 0:  # a face is a cycle of phi
+        seen, w = bytearray(hub_in), []
+        for d in hub_out:
+            while not seen[d]:
+                seen[d] = 1
+                d = phi[d]
+            w.append(d - first)
+        faces, d = 0, seen.find(0)
+        while d >= 0:  # the faces that miss the hub, cycles of phi
             faces += 1
             while not seen[d]:
                 seen[d] = 1
                 d = phi[d]
             d = seen.find(0, d)
-        best = min(best, (2 - v + e - faces) // 2)
+        rest = 2 - v + e - faces  # twice the genus, once the hub's faces are subtracted
+        w = tuple(w)
+        most = most_cycles.get(w)
+        if most is None:
+            most = 0
+            for succ in hub_orders:
+                p, cycles = [w[y] for y in succ], 0
+                for i in range(len(p)):
+                    if p[i] >= 0:
+                        cycles += 1
+                        while p[i] >= 0:
+                            p[i], i = -1, p[i]
+                if cycles > most:
+                    most = cycles
+                    best = min(best, (rest - most) // 2)
+                    if best == floor_genus:
+                        return best
+                    # each order is one deg-cycle, so all of them give a count
+                    # of one parity: deg - 1 means deg is out of reach
+                    if most >= len(p) - 1:
+                        break
+            most_cycles[w] = most
+        best = min(best, (rest - most) // 2)
         if best == floor_genus:
             return best
-        # the next system, the last vertex turning fastest as in product()
+        # the next setting of the other vertices, the last turning fastest
         for k in reversed(range(len(runs))):
             run, fills = runs[k]
             choice[k] = (choice[k] + 1) % len(fills)

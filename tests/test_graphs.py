@@ -314,7 +314,9 @@ def test_oracle_complete(n, expected):
     assert genus_oracle(complete_graph(n)) == expected
 
 
-@pytest.mark.parametrize("m,n,expected", [(2, 2, 0), (2, 3, 0), (3, 3, 1)])
+# K_{1,8}: the hub's 5,040 orders are the only choice, and the floor is met
+# within them
+@pytest.mark.parametrize("m,n,expected", [(2, 2, 0), (2, 3, 0), (3, 3, 1), (1, 8, 0)])
 def test_oracle_complete_bipartite(m, n, expected):
     assert genus_oracle(complete_bipartite_graph(m, n)) == expected
 
@@ -345,6 +347,19 @@ def test_oracle_heawood_graph_runs_to_the_end():
     result = genus_of_graph(g)
     assert result.is_exact and result.value == 1
     assert result.certificate == "RotationOracle"
+
+
+def test_oracle_searches_a_block_of_41472_systems_to_the_end():
+    # degrees 3,2,4,3,4,5,3,4: the hub, vertex 5, has 24 cyclic orders, scored
+    # from one walk map at each of the 1,728 settings of the other vertices.
+    # The Euler floor is 0 and the genus is 1, so nothing stops early
+    g = SimpleGraph(8, [(0, 2), (0, 4), (0, 6), (1, 3), (1, 7), (2, 4), (2, 5),
+                        (2, 7), (3, 4), (3, 5), (4, 5), (5, 6), (5, 7), (6, 7)])
+    assert g.blocks() == (tuple(range(8)),)
+    assert math.prod(math.factorial(len(a) - 1) for a in g.adj) == 41_472
+    assert genus_lower_bound_euler(g) == 0
+    assert genus_oracle(g) == 1
+    assert genus_of_graph(g)[:3] == ("exact", 1, "RotationOracle")
 
 
 def test_oracle_returns_none_over_system_limit(k133):
@@ -433,6 +448,38 @@ def reference_genus_oracle(g: SimpleGraph, lower: int = 0):
 def test_oracle_matches_the_flat_product_reference(g):
     assert genus_oracle(g) == reference_genus_oracle(g)
     if not nx.is_planar(to_nx(g)):  # so 1 is a proven floor
+        assert genus_oracle(g, lower=1) == reference_genus_oracle(g, lower=1)
+
+
+@st.composite
+def hub_graphs(draw, max_systems=30_000):
+    """A connected graph on at most 10 vertices whose vertex 0, the hub, has
+    degree 5 to 7: half the time 0 lies on a K_{3,3}, so that the graph is
+    non-planar.  0 is joined to new vertices up to its degree, any more hang
+    off vertices 1.. as a random tree, then drawn extra edges off the hub are
+    added while the rotation-system count allows."""
+    degree = draw(st.integers(5, 7))
+    k33 = draw(st.booleans())
+    edges = {(i, j) for i in range(3) for j in range(3, 6)} if k33 else set()
+    start = 6 if k33 else 1
+    first = start + degree - (3 if k33 else 0)  # 0 meets 3, 4, 5 on the K_{3,3}
+    n = draw(st.integers(first, 10))
+    edges |= {(0, v) for v in range(start, first)}
+    edges |= {(draw(st.integers(1, v - 1)), v) for v in range(first, n)}
+    extra = [e for e in combinations(range(1, n), 2) if e not in edges]
+    for e in draw(st.permutations(extra)):
+        degrees = Counter(v for edge in edges | {e} for v in edge)
+        if math.prod(math.factorial(d - 1) for d in degrees.values()) <= max_systems:
+            edges.add(e)
+    return SimpleGraph(n, sorted(edges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hub_graphs())
+def test_oracle_matches_the_reference_on_a_hub_of_degree_5_to_7(g):
+    assert len(g.adj[0]) >= 5
+    assert genus_oracle(g) == reference_genus_oracle(g)
+    if not nx.is_planar(to_nx(g)):
         assert genus_oracle(g, lower=1) == reference_genus_oracle(g, lower=1)
 
 
