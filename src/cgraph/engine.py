@@ -16,6 +16,7 @@ from typing import NamedTuple
 from .graphs import (
     GenusResult,
     SimpleGraph,
+    _planar_block,
     genus_complete,
     genus_complete_bipartite,
     genus_lower_bound_euler,
@@ -32,11 +33,13 @@ def _block_genus(block: SimpleGraph):
     n = block.recognize_complete()
     if n is not None:
         return f"K{n}", GenusResult.exact(genus_complete(n), "CompleteFormula")
-    mn = block.recognize_complete_bipartite()
+    # one two-colouring gives the K_{m,n} shape and the edge cut
+    colour = block._two_colouring()
+    mn = block._complete_bipartite(colour)
     if mn is not None:
         return (f"K{mn[0]},{mn[1]}",
                 GenusResult.exact(genus_complete_bipartite(*mn), "BipartiteFormula"))
-    if block.is_planar():
+    if not block._too_many_edges(colour) and _planar_block(dict(enumerate(block.adj))):
         return "other", GenusResult.exact(0, "PlanarTest")
     genus = genus_oracle(block, lower=1)  # the planarity test failed
     if genus is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from typing import NamedTuple
 
 # The most rotation systems, prod over vertices of (deg - 1)!, that the oracle
@@ -144,7 +144,11 @@ class SimpleGraph:
 
     def recognize_complete_bipartite(self):
         """(m, n) with m <= n if the graph is K_{m,n} with m, n >= 1, else None."""
-        if self.edge_count == 0 or (colour := self._two_colouring()) is None:
+        return self._complete_bipartite(self._two_colouring())
+
+    def _complete_bipartite(self, colour):
+        """recognize_complete_bipartite, read from the graph's two-colouring."""
+        if self.edge_count == 0 or colour is None:
             return None
         # E = m * n makes every pair across the colour classes an edge
         m, n = sorted((sum(colour), self.n - sum(colour)))
@@ -167,14 +171,19 @@ class SimpleGraph:
         return colour
 
     def is_planar(self) -> bool:
-        """No when E > 3V - 6, or E > 2V - 4 on a bipartite graph, whose faces
-        have at least four sides; else whether every block is planar."""
-        n, e = self.n, self.edge_count
-        if n >= 3 and e > 2 * n - 4 and (e > 3 * n - 6 or self._two_colouring()):
+        """No when the edge count rules it out, else whether every block is
+        planar."""
+        if self._too_many_edges(self._two_colouring()):
             return False
         # a block of at most four vertices is a subgraph of K4
         return all(_planar_block({v: self.adj[v].intersection(b) for v in b})
                    for b in self.blocks() if len(b) > 4)
+
+    def _too_many_edges(self, colour) -> bool:
+        """E > 3V - 6, or E > 2V - 4 if `colour` is a two-colouring, as then
+        each face has four sides or more: no plane embedding, by Euler."""
+        n = self.n
+        return n >= 3 and self.edge_count > (3 * n - 6 if colour is None else 2 * n - 4)
 
     # -- serialization ----------------------------------------------------
 
@@ -206,55 +215,59 @@ def _planar_block(adj) -> bool:
     a fragment fits a face whose boundary holds all its embedded contacts.
     The graph is non-planar iff some fragment fits no face.  Otherwise a path
     through a fragment between two contacts, taken from a fragment that fits
-    the fewest faces, splits one of them in two.  Every step rescans the
-    graph, so a planar block costs O(V E).  The big commuting-graph blocks
+    the fewest faces, splits one of them in two.  That fragment falls into
+    the pieces it leaves unembedded; every other keeps its contacts, and if
+    it fitted the split face, it fits each half that holds them all.  A step
+    walks the fragment it embeds from, which can be most of the graph, so a
+    planar block still costs up to O(V E).  The big commuting-graph blocks
     never get here, as they fail E <= 3V - 6, but large sparse planar graphs
-    do: triangular lattices of 231, 496 and 1,081 vertices take up to 0.09,
-    0.4 and 1.9 s (2-vCPU Xeon VM), where networkx takes 0.01-0.09 s.
+    do: triangular lattices of 231, 496 and 1,081 vertices take 0.009, 0.035
+    and 0.16 s (2-vCPU AMD EPYC VM), where networkx takes 0.005-0.05 s.
     """
     u = min(adj)
     w = min(adj[u])
-    faces = [[u, w]]
-    faces_at = {u: {0}, w: {0}}   # vertex -> faces on it
-    on = {(u, w), (w, u)}         # embedded edges, both ways
-    while True:
-        # (contacts, unembedded vertices) per fragment; an edge has none
-        fragments = [({a, b}, ()) for a in faces_at for b in adj[a]
-                     if a < b and b in faces_at and (a, b) not in on]
-        seen = set()
-        for s in adj:
-            if s in faces_at or s in seen:
-                continue
-            contacts, inside, stack = set(), {s}, [s]
-            while stack:
-                for y in adj[stack.pop()]:
-                    if y in faces_at:
-                        contacts.add(y)
-                    elif y not in inside:
-                        inside.add(y)
-                        stack.append(y)
-            seen |= inside
-            fragments.append((contacts, inside))
-        if not fragments:
-            return True
-        best = None
-        for contacts, inside in fragments:
-            fits = set.intersection(*(faces_at[c] for c in contacts))
-            if not fits:
-                return False
-            if best is None or len(fits) < len(best[2]):
-                best = contacts, inside, fits
+    faces, faces_at = [[u, w]], {u: {0}, w: {0}}  # embedded vertex -> its faces
 
-        contacts, inside, fits = best
+    def pieces(path, new):
+        """(contacts, unembedded vertices, faces fitted) of each fragment left
+        by embedding `path`, whose vertices `new` are new; an edge has none."""
+        on = set(zip(path, path[1:])) | set(zip(path[1:], path))
+        found, seen = [], set()
+        for a in new:
+            for b in adj[a]:
+                if b in faces_at:
+                    if (a, b) not in on and (a < b or b not in new):
+                        found.append(({a, b}, (), faces_at[a] & faces_at[b]))
+                elif b not in seen:
+                    contacts, inside, stack = set(), {b}, [b]
+                    while stack:
+                        for y in adj[stack.pop()]:
+                            if y in faces_at:
+                                contacts.add(y)
+                            elif y not in inside:
+                                inside.add(y)
+                                stack.append(y)
+                    seen |= inside
+                    found.append((contacts, inside,
+                                  set.intersection(*(faces_at[c] for c in contacts))))
+        return found
+
+    fragments = pieces([u, w], {u, w})
+    while fragments:
+        contacts, inside, fits = fragments.pop(
+            min(range(len(fragments)), key=lambda i: len(fragments[i][2])))
+        if not fits:
+            return False
         if not inside:
             path = sorted(contacts)
         else:  # from a contact a through the fragment to another contact
             a = min(contacts)
+            others = contacts - {a}
             start = min(adj[a] & inside)
             parent = {start: a}
             queue = [start]
             for x in queue:
-                ends = adj[x] & (contacts - {a})
+                ends = adj[x] & others
                 if ends:
                     break
                 for y in adj[x] & inside:
@@ -279,10 +292,17 @@ def _planar_block(adj) -> bool:
             faces_at[v] = set()
         faces[k] = face[i:j + 1] + inner[::-1]
         faces.append(face[j:] + face[:i + 1] + inner)
-        for index in (k, len(faces) - 1):
+        halves = (k, len(faces) - 1)
+        for index in halves:
             for v in faces[index]:
                 faces_at[v].add(index)
-        on |= set(zip(path, path[1:])) | set(zip(path[1:], path))
+        for other, _, other_fits in fragments:
+            if k in other_fits:
+                other_fits.discard(k)
+                other_fits.update(h for h in halves
+                                  if all(h in faces_at[c] for c in other))
+        fragments += pieces(path, set(inner))
+    return True
 
 
 class GenusResult(NamedTuple):
@@ -427,26 +447,32 @@ def genus_oracle(g: SimpleGraph, lower: int = 0):
         if systems > MAX_ROTATION_SYSTEMS:
             return None
 
-    # Darts are integers, those into b a run in the order of b's neighbours, so
-    # the face permutation phi (a -> b, then b -> a's successor at b) is a flat
-    # list, and each cyclic order at b fills b's run.  The hub's run is never
-    # read: the walks stop at the hub's in-darts, which start out seen.
+    # Darts are integers, those into b a run from starts[b] in the order of b's
+    # neighbours, so the face permutation phi (a -> b, then b -> a's successor
+    # at b) is a flat list, and each cyclic order at b fills b's run.  As b
+    # ascends, its out-dart to c is the next free place in c's run.  The hub's
+    # run is never read: the walks stop at its in-darts, which start out seen.
     nbrs = [sorted(adj[b]) for b in range(v)]
     hub = max(range(v), key=lambda b: len(nbrs[b]))
-    dart = {ab: i for i, ab in enumerate((a, b) for b in range(v) for a in nbrs[b])}
-    phi, runs = [0] * 2 * e, []  # runs: (run, fills) of non-hub vertices with a choice
+    starts = list(accumulate(map(len, nbrs), initial=0))
+    free = starts[:v]
+    # runs: [run, out-darts, orders, their fills, built at the first turn] of
+    # the non-hub vertices with a choice; most calls stop before most turn
+    phi, runs = [0] * 2 * e, []
     for b in range(v):
-        out = [dart[b, c] for c in nbrs[b]]
+        out = [free[c] for c in nbrs[b]]
+        for c in nbrs[b]:
+            free[c] += 1
         if b == hub:
-            hub_out, first = out, dart[nbrs[b][0], b]
+            hub_out, first = out, starts[b]
             hub_in = bytearray(2 * e)
             hub_in[first:first + len(out)] = b"\1" * len(out)
             continue
-        run = slice(dart[nbrs[b][0], b], dart[nbrs[b][-1], b] + 1)
-        fills = [[out[y] for y in succ] for succ in _cyclic_orders(len(out))]
-        phi[run] = fills[0]
-        if len(fills) > 1:
-            runs.append((run, fills))
+        run = slice(starts[b], starts[b + 1])
+        orders = _cyclic_orders(len(out))
+        phi[run] = [out[y] for y in orders[0]]
+        if len(orders) > 1:
+            runs.append([run, out, orders, None])
 
     hub_orders, most_cycles = _cyclic_orders(len(hub_out)), {}  # w -> most hub faces
     choice, best = [0] * len(runs), math.inf
@@ -478,9 +504,8 @@ def genus_oracle(g: SimpleGraph, lower: int = 0):
                             p[i], i = -1, p[i]
                 if cycles > most:
                     most = cycles
-                    best = min(best, (rest - most) // 2)
-                    if best == floor_genus:
-                        return best
+                    if (rest - most) // 2 == floor_genus:
+                        return floor_genus
                     # each order is one deg-cycle, so all of them give a count
                     # of one parity: deg - 1 means deg is out of reach
                     if most >= len(p) - 1:
@@ -491,7 +516,9 @@ def genus_oracle(g: SimpleGraph, lower: int = 0):
             return best
         # the next setting of the other vertices, the last turning fastest
         for k in reversed(range(len(runs))):
-            run, fills = runs[k]
+            run, out, orders, fills = runs[k]
+            if fills is None:
+                fills = runs[k][3] = [[out[y] for y in succ] for succ in orders]
             choice[k] = (choice[k] + 1) % len(fills)
             phi[run] = fills[choice[k]]
             if choice[k]:

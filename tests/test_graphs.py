@@ -20,7 +20,7 @@ from cgraph import (
     max_clique,
 )
 
-from cgraph import graphs
+from cgraph import engine, graphs
 from cgraph.catalog import build
 from cgraph.engine import _block_genus, _block_sum
 from cgraph.graphs import MAX_ROTATION_SYSTEMS
@@ -153,6 +153,65 @@ def test_maximal_planar_graphs_and_one_edge_more(n):
     assert not SimpleGraph(n, g.edges() + [missing]).is_planar()
 
 
+@st.composite
+def thinned_triangulations(draw):
+    """stacked_triangulation(n), n <= 40, less up to n of its edges and plus
+    up to two others, with a subdivided K5 or K3,3 glued on at one vertex a
+    third of the time each."""
+    n = draw(st.integers(4, 40))
+    g = stacked_triangulation(n)
+    edges = g.edges()
+    dropped = draw(st.sets(st.sampled_from(edges), max_size=n))
+    missing = [e for e in combinations(range(n), 2) if not g.has_edge(*e)]
+    added = draw(st.sets(st.sampled_from(missing), max_size=2)) if missing else set()
+    edges = [e for e in edges if e not in dropped] + sorted(added)
+    kuratowski = draw(st.sampled_from([None, complete_graph(5),
+                                       complete_bipartite_graph(3, 3)]))
+    if kuratowski is not None:
+        h, at = subdivided(kuratowski), draw(st.integers(0, n - 1))
+        # h's vertex 0 becomes `at`, its others follow the triangulation's
+        edges += [tuple(at if x == 0 else n + x - 1 for x in e) for e in h.edges()]
+        n += h.n - 1
+    return SimpleGraph(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(thinned_triangulations())
+def test_path_embedding_matches_networkx_on_thinned_triangulations(g):
+    planar = nx.check_planarity(to_nx(g))[0]
+    assert g.is_planar() == planar
+    assert (genus_of_graph(g).upper == 0) == planar
+
+
+def triangular_lattice(rows, cols):
+    """The triangulated grid: vertex (i, j), numbered i * cols + j, joined to
+    (i, j + 1), (i + 1, j) and (i + 1, j + 1)."""
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j
+            if j + 1 < cols:
+                edges.append((v, v + 1))
+            if i + 1 < rows:
+                edges.append((v, v + cols))
+            if i + 1 < rows and j + 1 < cols:
+                edges.append((v, v + cols + 1))
+    return SimpleGraph(rows * cols, edges)
+
+
+def test_a_chord_across_a_triangular_lattice_makes_it_non_planar():
+    g = triangular_lattice(15, 15)
+    # two interior vertices far apart, which share no face of the lattice
+    h = SimpleGraph(g.n, g.edges() + [(1 * 15 + 1, 13 * 15 + 13)])
+    # the chord passes the edge cut, so the path embedding has to refuse it
+    assert h.edge_count <= 3 * h.n - 6 and h._two_colouring() is None
+    assert g.is_planar() and not h.is_planar()
+    assert not nx.check_planarity(to_nx(h))[0]
+    assert genus_of_graph(g) == GenusResult.exact(0, "PlanarTest")
+    assert genus_of_graph(h) == GenusResult.bounds(
+        1, genus_upper_bound_betti(h), ["BettiUpper", "NonPlanarLower"])
+
+
 @pytest.mark.parametrize("h, planar", [
     (nx.octahedral_graph(), True),
     (nx.icosahedral_graph(), True),
@@ -177,18 +236,31 @@ def k44_minus_matching(k):
 ], ids=["cube", "k44-minus-3", "heawood"])
 def test_bipartite_edge_cut(monkeypatch, g, planar, path_embedded):
     # a bipartite graph with V >= 3 and E > 2V - 4 is refused without the
-    # path embedding, since each of its faces has at least four sides
+    # path embedding, since each of its faces has at least four sides, both
+    # by is_planar() and by the genus dispatcher, which embeds a block itself
     assert g._two_colouring() is not None
     embedded, embed = [], graphs._planar_block
-    monkeypatch.setattr(graphs, "_planar_block",
-                        lambda adj: embedded.append(adj) or embed(adj))
+
+    def spy(adj):
+        embedded.append(adj)
+        return embed(adj)
+    monkeypatch.setattr(graphs, "_planar_block", spy)
+    monkeypatch.setattr(engine, "_planar_block", spy)
     assert g.is_planar() == planar == nx.is_planar(to_nx(g))
+    assert bool(embedded) == path_embedded
+    embedded.clear()
+    shape, result = _block_genus(g)
+    assert shape == "other" and (result.certificate == "PlanarTest") == planar
     assert bool(embedded) == path_embedded
 
 
+def one_block_graphs():
+    return [complete_graph(6), k44_minus_matching(3), from_nx(nx.petersen_graph()),
+            from_nx(nx.heawood_graph()), from_nx(nx.hypercube_graph(3))]
+
+
 def test_a_one_block_graph_is_dispatched_without_a_copy(monkeypatch):
-    cases = [complete_graph(6), k44_minus_matching(3), from_nx(nx.petersen_graph()),
-             from_nx(nx.heawood_graph()), from_nx(nx.hypercube_graph(3))]
+    cases = one_block_graphs()
     # the triples of the block's induced copy, as the copy is the graph itself
     expected = [tuple((b, *_block_genus(g.induced_subgraph(b))) for b in g.blocks())
                 for g in cases]
@@ -201,6 +273,26 @@ def test_a_one_block_graph_is_dispatched_without_a_copy(monkeypatch):
     for g, blocks in zip(cases, expected):
         assert _block_sum(g) == blocks
         assert genus_of_graph(g) == blocks[0][2]
+
+
+def test_a_block_is_scanned_once(monkeypatch):
+    # genus_of_graph finds the blocks once, and each block's one
+    # two-colouring serves both the K_{m,n} shape and the edge cut
+    calls = Counter()
+
+    def counted(name):
+        method = getattr(SimpleGraph, name)
+        def wrapper(self):
+            calls[name, id(self)] += 1
+            return method(self)
+        return wrapper
+    for name in ("blocks", "_two_colouring"):
+        monkeypatch.setattr(SimpleGraph, name, counted(name))
+    for g in one_block_graphs():
+        calls.clear()
+        genus_of_graph(g)
+        assert set(calls) <= {("blocks", id(g)), ("_two_colouring", id(g))}
+        assert calls["blocks", id(g)] == 1 and calls["_two_colouring", id(g)] <= 1
 
 
 def test_is_planar_subdivided_kuratowski_graphs(k5):
