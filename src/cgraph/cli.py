@@ -26,8 +26,8 @@ def _load_group(name, param, path) -> tuple[FiniteGroup, str]:
         if param is not None:
             raise ValueError("--param does not apply to a group --file")
         try:
-            text = Path(path).read_text()
-        except OSError as exc:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValueError(f"cannot read {path}: {exc}")
         group = group_from_file_text(text)
         return group, group.name or Path(path).stem

@@ -1,14 +1,16 @@
 """Finite groups as generator closures: right actions and a BFS tree.
 
-Every group is built by one generator closure, `group_from_operation`:
-permutations, 2x2 matrices over a finite field, element models, direct
-products and quotients only supply its generators and product, so what it
-stores is a group by construction; only a table file is checked, by
-`group_from_table`.  A group stores, per generator s, the index map x -> x*s
-and each element's BFS parent, n*|S| entries in all, and no table: x*y is x
-pushed through y's tree word.  A closure's elements are in BFS order from
-the identity over the generators in the order given, which keeps labels,
-rendered on first read, deterministic.  A group never changes once built.
+One BFS, `_closure`, builds every group, subgroup and table tree.  Through
+`group_from_operation`, permutations, 2x2 matrices over a finite field,
+element models, direct products and quotients only supply generators and a
+product, so what it stores is a group by construction.  Through `_greedy`,
+it closes the greedy picks' words for `generators`, `subgroup_closure` and a
+table file, which only `group_from_table` checks.  A group stores, per
+generator s, the index map x -> x*s and each element's BFS parent, n*|S|
+entries in all, and no table: x*y is x pushed through y's tree word by
+`_push`.  Elements are in BFS order from the identity over the generators in
+the order given, which keeps labels, rendered on first read, deterministic.
+A group never changes once built.
 """
 
 from __future__ import annotations
@@ -37,34 +39,49 @@ def _index(g, n) -> int:
     return g
 
 
-def _greedy_closure(n, candidates, word):
+def _push(x, maps) -> int:
+    """x mapped by each of `maps` in turn: x*y, given y's tree word."""
+    for m in maps:
+        x = m[x]
+    return x
+
+
+def _closure(gens, op, identity):
+    """The BFS from `identity` over right multiplication by `gens`, in order:
+    (elements, right, parents), right[s][x] the position of elements[x]*gens[s]
+    and parents[y] = (x, s) for y = x*s; past MAX_ORDER elements, ValueError."""
+    index = {identity: 0}
+    elements, parents = [identity], [None]
+    right = [[] for _ in gens]
+    steps = list(enumerate(zip(gens, [act.append for act in right])))
+    for x, g in enumerate(elements):  # `elements` grows while it is walked
+        for s, (gen, put) in steps:
+            h = op(g, gen)
+            y = index.get(h)
+            if y is None:
+                if len(elements) == MAX_ORDER:
+                    raise ValueError(f"more than {MAX_ORDER} elements, the order limit")
+                y = index[h] = len(elements)
+                elements.append(h)
+                parents.append((x, s))
+            put(y)
+    return elements, right, parents
+
+
+def _greedy(n, candidates, word):
     """The greedy picks among `candidates`, each one that the earlier picks
-    do not generate, and the tree (right, parents, bfs) of their closure, a
-    BFS from the identity, index 0, over right multiplication by the picks.
-    `word(g)` is a list of index maps whose composite is x -> x*g, and
-    `right[s][x]` is x*picks[s], filled once reached and None outside the
-    closure.  An index outside 0..n-1 raises ValueError."""
-    picks, words, right = [], [], []
-    parents, bfs = [None] * n, [0]
+    do not generate, and the `_closure` of the picks' words over 0..n-1.
+    `word(g)` is a list of index maps whose composite is x -> x*g, built once
+    per pick.  An index outside 0..n-1 raises ValueError."""
+    picks, words, members = [], [], {0}
+    closure = _closure(words, _push, 0)
     for g in candidates:
-        if g == 0 or parents[_index(g, n)] is not None:
-            continue
-        picks.append(g)
-        words.append(word(g))
-        right.append([None] * n)
-        parents, bfs = [None] * n, [0]
-        for p in bfs:  # `bfs` grows while it is walked
-            for s, (act, maps) in enumerate(zip(right, words)):
-                y = act[p]
-                if y is None:
-                    y = p
-                    for m in maps:
-                        y = m[y]
-                    act[p] = y
-                if y and parents[y] is None:
-                    parents[y] = (p, s)
-                    bfs.append(y)
-    return picks, (right, parents, bfs)
+        if g not in members:  # an index outside 0..n-1 never is
+            picks.append(_index(g, n))
+            words.append(word(g))
+            closure = _closure(words, _push, 0)
+            members = set(closure[0])
+    return picks, closure
 
 
 class FiniteGroup:
@@ -105,10 +122,7 @@ class FiniteGroup:
     # -- basic arithmetic -------------------------------------------------
 
     def mul(self, x: int, y: int) -> int:
-        x = _index(x, self.order)
-        for act in self._word(_index(y, self.order)):
-            x = act[x]
-        return x
+        return _push(_index(x, self.order), self._word(_index(y, self.order)))
 
     def element_order(self, x: int) -> int:
         return self._power_orders[0][_index(x, self.order)]
@@ -157,10 +171,7 @@ class FiniteGroup:
         word = self._word(r)
         powers = [r]
         while powers[-1]:
-            acc = powers[-1]
-            for act in word:
-                acc = act[acc]
-            powers.append(acc)
+            powers.append(_push(powers[-1], word))
         return powers
 
     # -- structural queries ----------------------------------------------
@@ -278,7 +289,7 @@ class FiniteGroup:
     def subgroup_closure(self, seed) -> frozenset:
         """The subgroup generated by the given element indices: the closure
         of their greedy picks.  An index outside 0..n-1 raises ValueError."""
-        return frozenset(_greedy_closure(self.order, seed, self._word)[1][2])
+        return frozenset(_greedy(self.order, seed, self._word)[1][0])
 
     def abelian_subgroups(self):
         """All abelian subgroups, by the plain centralizing extension walk.
@@ -291,7 +302,7 @@ class FiniteGroup:
 
         Public API and the tests' brute-force oracle for the bound checks.
         It closes one subgroup per extension, each product pushed through a
-        tree word (about 1.3 s on D400, whose words run up to 101 deep), so
+        tree word (about 0.7 s on D400, whose words run up to 101 deep), so
         no run-time path calls it: the bound checks read the largest order
         from centralizers and the clique number.
         """
@@ -310,7 +321,7 @@ class FiniteGroup:
     def generators(self) -> list:
         """A generating set, picked greedily: each element in index order that
         the earlier picks do not generate."""
-        return _greedy_closure(self.order, range(self.order), self._word)[0]
+        return _greedy(self.order, range(self.order), self._word)[0]
 
     # -- quotients --------------------------------------------------------
 
@@ -319,8 +330,7 @@ class FiniteGroup:
         coset xN is named by its least member, and the quotient's closure
         multiplies only by those of G's greedy generators' cosets."""
         nset = frozenset(normal)
-        _, (_, _, members) = _greedy_closure(self.order, nset, self._word)
-        if len(members) != len(nset):
+        if self.subgroup_closure(nset) != nset:
             raise ValueError("not a subgroup")
         # N is normal iff every generator's conjugation maps N onto N
         if any({c[x] for x in nset} != nset for c in self._conjugations):
@@ -328,7 +338,7 @@ class FiniteGroup:
         coset_of = [None] * self.order  # element -> least member of its coset
         for x in range(self.order):
             if coset_of[x] is None:  # no smaller element shares its coset
-                for h in members:
+                for h in nset:
                     coset_of[self.mul(x, h)] = x
         return group_from_operation(
             [coset_of[g] for g in self.generators()],
@@ -375,31 +385,15 @@ def perm_cycle_label(perm) -> str:
 
 
 def group_from_operation(generators, op, identity, label=str, name=None) -> FiniteGroup:
-    """The group generated under `op`, by BFS from the identity over right
-    multiplication by the generators in the order given.
+    """The group generated under `op`: the `_closure` of the generators.
 
     Only the n*|S| products x*s use `op`; the group keeps them, as right[s],
     with each element's BFS parent.  Each b but the identity is parent(b)*s,
     so every other product is lookups, a*b = right[s][a*parent(b)], which
     `FiniteGroup.mul` unrolls along b's tree word.  So `op` must be a group
     operation on what the generators produce, with `identity` its identity;
-    nothing checks that.
-    """
-    gens = list(generators)
-    index = {identity: 0}
-    elements = [identity]
-    parents = [None]
-    right = [[] for _ in gens]
-    for x, g in enumerate(elements):  # `elements` grows while it is walked
-        for s, gen in enumerate(gens):
-            h = op(g, gen)
-            if h not in index:
-                if len(elements) == MAX_ORDER:
-                    raise ValueError(f"more than {MAX_ORDER} elements, the order limit")
-                index[h] = len(elements)
-                elements.append(h)
-                parents.append((x, s))
-            right[s].append(index[h])
+    nothing checks that."""
+    elements, right, parents = _closure(list(generators), op, identity)
     return FiniteGroup(right, parents, range(len(elements)),
                        map(label, elements), name)
 
@@ -491,22 +485,25 @@ def group_from_table(rows) -> FiniteGroup:
         raise ValueError("table has no identity element")
     if identity != 0:
         raise ValueError("identity must be at index 0")
-    gens, tree = _greedy_closure(n, range(n), lambda g: [[row[g] for row in rows]])
+    gens, (bfs, _, at) = _greedy(n, range(n), lambda g: [[row[g] for row in rows]])
+    parents = [None] * n  # BFS positions mapped back to the table's indices
+    for y, (p, s) in zip(bfs[1:], at[1:]):
+        parents[y] = (bfs[p], s)
     for s in gens:
         for x in range(n):
             for y in range(n):
                 if rows[rows[x][s]][y] != rows[x][rows[s][y]]:
                     raise ValueError(f"table is not associative: "
                                      f"({x}*{s})*{y} != {x}*({s}*{y})")
-    return FiniteGroup(*tree)
+    return FiniteGroup([[row[g] for row in rows] for g in gens], parents, bfs)
 
 
 def group_from_file_text(text: str) -> FiniteGroup:
     """Parse the plain-text group format.
 
-    First line is ``order n``; then either ``table`` followed by n rows of n
-    indices, or ``perm-generators m`` followed by one generator per line in
-    disjoint-cycle notation.
+    First line is ``order n`` with n >= 1; then either ``table`` followed by
+    n rows of n indices, or ``perm-generators m`` followed by one generator
+    per line in disjoint-cycle notation.
     """
     lines = text.splitlines()
     rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines)
@@ -528,6 +525,8 @@ def group_from_file_text(text: str) -> FiniteGroup:
     if len(parts) != 2 or parts[0] != "order" or not re.fullmatch("[0-9]+", parts[1]):
         fail(lineno, f"expected 'order n', got {header!r}")
     n = bounded(lineno, parts[1], "group order")
+    if n < 1:
+        fail(lineno, "group order must be at least 1")
     if len(rows) < 2:
         fail(lineno, "missing 'table' or 'perm-generators' section")
     lineno, mode = rows[1]

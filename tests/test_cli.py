@@ -330,8 +330,11 @@ def test_bad_header_number_exits_2(tmp_path, text, message):
     ("order 2\ntable\n0 x\n1 0\n", "line 3: non-integer entry in '0 x'"),
     ("order 2\nperm-generators 2\n(1 a)\n", "line 3: non-integer point in cycle (1 a)"),
     ("order 2\ngenerators 2\n(1 2)\n", "line 2: unknown section 'generators'"),
+    # no group has order 0, whatever section follows the header
+    ("order 0\ntable\n", "line 1: group order must be at least 1"),
+    ("order 0\nperm-generators 2\n(1 2)\n", "line 1: group order must be at least 1"),
 ], ids=["D7", "Q6", "SD8", "GL2-6", "empty-file", "no-section", "row-count",
-        "table-entry", "cycle-point", "unknown-section"])
+        "table-entry", "cycle-point", "unknown-section", "order-0-table", "order-0-perms"])
 def test_input_errors_exit_2_with_one_line(tmp_path, source, message):
     if isinstance(source, str):
         path = tmp_path / "bad.group"
@@ -340,6 +343,28 @@ def test_input_errors_exit_2_with_one_line(tmp_path, source, message):
     result = invoke(["info", *source])
     assert one_line_error(result) == f"Error: {message}"
     assert "Traceback" not in result.stderr
+
+
+def test_a_file_that_is_not_utf8_exits_2_naming_its_path(tmp_path):
+    path = tmp_path / "binary.group"
+    path.write_bytes(b"\xff\xfe\x00order 6\n")
+    message = one_line_error(invoke(["info", "--file", str(path)]))
+    assert message.startswith(f"Error: cannot read {path}: 'utf-8' codec can't decode")
+
+
+def test_a_group_file_is_read_as_utf8_under_the_c_locale(tmp_path):
+    # with locale coercion and UTF-8 mode off, the C locale's encoding is
+    # ASCII, which a non-ASCII comment would not decode in
+    path = tmp_path / "s3.group"
+    path.write_text("# groupe sym\u00e9trique\norder 6\nperm-generators 3\n(1 2)\n(1 2 3)\n",
+                    encoding="utf-8")
+    src = str(Path(cgraph.__file__).parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "cgraph.cli", "info", "--file", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["order"] == 6
 
 
 def test_param_with_a_group_file_exits_2(tmp_path):

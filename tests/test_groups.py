@@ -75,7 +75,8 @@ def test_table_validation():
         ([[0, 2, 1], [2, 1, 0], [1, 0, 2]],  # x*y = -x-y mod 3
          "table has no identity element", None),
         ([[1, 0], [0, 1]], "identity must be at index 0", None),
-        ([], "table has no identity element", None),
+        # a file refuses order 0 at its header
+        ([], "table has no identity element", "line 1: group order must be at least 1"),
         ([[int(x) for x in row.split()] for row in LATIN5.splitlines()[2:]],
          "table is not associative: (1*1)*2 != 1*(1*2)", None),
     ]:
@@ -618,6 +619,38 @@ def test_deep_bfs_trees_match_the_table_scan(name, order):
     assert_class_functions_match_the_table(group)
     relabel = [0] + random.Random(order).sample(range(1, order), order - 1)
     assert_class_functions_match_the_table(group_from_table(relabelled_table(group, relabel)))
+
+
+def table_closure(table, seed) -> frozenset:
+    """The subgroup that `seed` generates, closed under the table's product."""
+    members, todo = {0}, [0]
+    for x in todo:  # `todo` grows while it is walked
+        for g in seed:
+            if table[x][g] not in members:
+                members.add(table[x][g])
+                todo.append(table[x][g])
+    return frozenset(members)
+
+
+@settings(max_examples=40, deadline=None)
+@given(permutation_generators(), st.randoms(use_true_random=False), st.data())
+def test_greedy_picks_and_subgroup_closures_match_the_table(gens, rnd, data):
+    """`generators()` and `subgroup_closure` of a closure, and of a table
+    file of it with its non-identity indices shuffled, against a plain loop
+    over the table: each index, in order, that the table closure of the
+    earlier picks does not hold."""
+    group = group_from_permutations(gens)
+    n = group.order
+    shuffled = group_from_table(relabelled_table(group, [0] + rnd.sample(range(1, n), n - 1)))
+    seed = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+    for g in (group, shuffled):
+        table, picks, generated = table_of(g), [], {0}
+        for x in range(n):
+            if x not in generated:
+                picks.append(x)
+                generated = table_closure(table, picks)
+        assert g.generators() == picks
+        assert g.subgroup_closure(seed) == table_closure(table, seed)
 
 
 def test_table_file_tree_keeps_the_indices():
