@@ -1,66 +1,56 @@
-"""Genus of commuting graphs of finite non-abelian groups."""
+"""Genus of commuting graphs of finite non-abelian groups.
 
-from .engine import (
-    CommutingGraphReport,
-    HeawoodBounds,
-    check_bounds_against_group,
-    commuting_graph,
-    commuting_graph_of,
-    family_genus,
-    genus_of_graph,
-    heawood_bounds,
-    heawood_clique_bound,
-    report_to_json,
-)
-from .fields import FieldContext, Mat2
-from .graphs import (
-    GenusResult,
-    SimpleGraph,
-    disjoint_clique_lower_bound,
-    genus_complete,
-    genus_complete_bipartite,
-    genus_lower_bound_euler,
-    genus_oracle,
-    genus_upper_bound_betti,
-    max_clique,
-)
-from .groups import (
-    FiniteGroup,
-    direct_product,
-    group_from_file_text,
-    group_from_matrices,
-    group_from_operation,
-    group_from_permutations,
-    group_from_table,
-)
+`import cgraph` loads no submodule: each public name is imported from its
+module on first use (PEP 562) and then kept here, so a later lookup is a
+plain attribute.  A `cgraph genus` on an AC-group thus never compiles the
+graph search in `graphs` or the field arithmetic in `fields`.
+"""
 
-__all__ = [
-    "CommutingGraphReport",
-    "FieldContext",
-    "FiniteGroup",
-    "GenusResult",
-    "HeawoodBounds",
-    "Mat2",
-    "SimpleGraph",
-    "check_bounds_against_group",
-    "commuting_graph",
-    "commuting_graph_of",
-    "direct_product",
-    "disjoint_clique_lower_bound",
-    "family_genus",
-    "genus_complete",
-    "genus_complete_bipartite",
-    "genus_lower_bound_euler",
-    "genus_of_graph",
-    "genus_oracle",
-    "genus_upper_bound_betti",
-    "group_from_file_text",
-    "group_from_matrices",
-    "group_from_operation",
-    "group_from_permutations",
-    "group_from_table",
-    "heawood_bounds",
-    "heawood_clique_bound",
-    "max_clique",
-    "report_to_json",
-]
+import importlib
+
+# public name -> the submodule that defines it
+_HOMES = {
+    "CommutingGraphReport": "engine",
+    "HeawoodBounds": "engine",
+    "check_bounds_against_group": "engine",
+    "commuting_graph": "engine",
+    "commuting_graph_of": "engine",
+    "family_genus": "engine",
+    "genus_of_graph": "engine",
+    "heawood_bounds": "engine",
+    "heawood_clique_bound": "engine",
+    "report_to_json": "engine",
+    "FieldContext": "fields",
+    "Mat2": "fields",
+    "GenusResult": "genus",
+    "genus_complete": "genus",
+    "SimpleGraph": "graphs",
+    "disjoint_clique_lower_bound": "graphs",
+    "genus_complete_bipartite": "graphs",
+    "genus_lower_bound_euler": "graphs",
+    "genus_oracle": "graphs",
+    "genus_upper_bound_betti": "graphs",
+    "max_clique": "graphs",
+    "FiniteGroup": "groups",
+    "direct_product": "groups",
+    "group_from_file_text": "groups",
+    "group_from_matrices": "groups",
+    "group_from_operation": "groups",
+    "group_from_permutations": "groups",
+    "group_from_table": "groups",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -15,11 +15,13 @@ from __future__ import annotations
 import json
 import math
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .engine import commuting_graph
-from .fields import FIELDS, FieldContext, Mat2
 from .groups import MAX_ORDER, FiniteGroup, direct_product, group_from_operation, group_from_permutations, group_from_matrices, perm_cycle_label
+
+if TYPE_CHECKING:
+    from .fields import FieldContext
 
 CLASSIFICATION_TAGS = ("acyclic-list", "planar-list", "toroidal-list",
                        "counterexample", "counterexample-candidate")
@@ -101,6 +103,7 @@ def _alternating(n):
 
 @lru_cache(maxsize=None)
 def field(q) -> FieldContext:
+    from .fields import FIELDS, FieldContext
     if q not in FIELDS:
         raise ValueError(f"unsupported field order {q}")
     p, k, _ = FIELDS[q]
@@ -118,6 +121,7 @@ def _primitive(ctx):
 
 
 def _gl2(q):
+    from .fields import Mat2
     ctx = field(q)
     # row operations: a primitive scaling, a transvection and the swap
     z = _primitive(ctx)
@@ -127,6 +131,7 @@ def _gl2(q):
 
 
 def _sl2(q, name=None):
+    from .fields import Mat2
     ctx = field(q)
     gens = [Mat2.of(ctx, 1, 1, 0, 1), Mat2.of(ctx, 1, 0, 1, 1)]
     if q > 3:

@@ -1,61 +1,26 @@
 """Commuting graphs and their genus.
 
-Builds the commuting graph of a finite non-abelian group, resolves genus
-through block decomposition with formula / planarity / oracle dispatch, and
-implements the closed-form family formulas and the Heawood-style bounds.
-Every report reads its counts and girth from centralizer sizes; only a non-AC
-group's blocks need the graph.
+Builds the commuting graph of a finite non-abelian group, sums the genus of
+a graph over its blocks, and implements the closed-form family formulas and
+the Heawood-style bounds.  Every report reads its counts and girth from
+centralizer sizes and an AC-group's blocks from its centralizer family, so
+only a non-AC group or a bare graph loads `graphs`: each block's formula /
+planarity / oracle dispatch is the graph's own `_block_sum`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .graphs import (
-    GenusResult,
-    SimpleGraph,
-    _planar_block,
-    genus_complete,
-    genus_complete_bipartite,
-    genus_lower_bound_euler,
-    genus_oracle,
-    genus_upper_bound_betti,
-    max_clique,
-)
+from .genus import GenusResult, genus_complete
 from .groups import FiniteGroup
 
+if TYPE_CHECKING:
+    from .graphs import SimpleGraph
+
 # -- genus of an arbitrary graph ------------------------------------------
-
-def _block_genus(block: SimpleGraph):
-    """Shape (`K{n}`, `K{m},{n}` or `other`) and genus of a single block."""
-    n = block.recognize_complete()
-    if n is not None:
-        return f"K{n}", GenusResult.exact(genus_complete(n), "CompleteFormula")
-    # one two-colouring gives the K_{m,n} shape and the edge cut
-    colour = block._two_colouring()
-    mn = block._complete_bipartite(colour)
-    if mn is not None:
-        return (f"K{mn[0]},{mn[1]}",
-                GenusResult.exact(genus_complete_bipartite(*mn), "BipartiteFormula"))
-    if not block._too_many_edges(colour) and _planar_block(dict(enumerate(block.adj))):
-        return "other", GenusResult.exact(0, "PlanarTest")
-    genus = genus_oracle(block, lower=1)  # the planarity test failed
-    if genus is not None:
-        return "other", GenusResult.exact(genus, "RotationOracle")
-    # a block that failed the planarity test has genus >= 1
-    euler = genus_lower_bound_euler(block)
-    lower, source = (euler, "EulerLower") if euler >= 1 else (1, "NonPlanarLower")
-    return "other", GenusResult.bounds(lower, genus_upper_bound_betti(block),
-                                       [source, "BettiUpper"])
-
-
-def _block_sum(g: SimpleGraph) -> tuple:
-    """(vertices, shape, genus) of each block of g; a block of all of g is g."""
-    return tuple((b, *_block_genus(g if len(b) == g.n else g.induced_subgraph(b)))
-                 for b in g.blocks())
-
 
 def _total(blocks) -> GenusResult:
     """The sum of the blocks' genera; an exact total is a "BlockSum"."""
@@ -69,7 +34,7 @@ def _total(blocks) -> GenusResult:
 
 def genus_of_graph(g: SimpleGraph) -> GenusResult:
     """Total genus: sum over connected components, each a sum over blocks."""
-    blocks = _block_sum(g)
+    blocks = g._block_sum()
     total = _total(blocks)
     # an exact genus of a lone block keeps that block's certificate
     return blocks[0][2] if len(blocks) == 1 and total.is_exact else total
@@ -101,6 +66,7 @@ def _vertices(group: FiniteGroup) -> tuple:
 def commuting_graph_of(group: FiniteGroup) -> SimpleGraph:
     """The graph on G \\ Z(G) with edges between distinct commuting elements;
     vertex i is the i-th non-central element in ascending order."""
+    from .graphs import SimpleGraph
     vertices = _vertices(group)
     pos = {x: i for i, x in enumerate(vertices)}
     edges = [(pos[x], pos[y])
@@ -143,7 +109,7 @@ def commuting_graph(group: FiniteGroup) -> CommutingGraphReport:
     degrees = [len(group.centralizer(x)) - z - 1 for x in vertices]
     is_ac = group.is_ac_group()
     blocks = (_family_blocks(group.centralizer_family(), vertices) if is_ac
-              else _block_sum(commuting_graph_of(group)))
+              else commuting_graph_of(group)._block_sum())
     total = _total(blocks)
     heawood = (heawood_bounds(total.value, group.quotient_exponent())
                if total.is_exact else None)
@@ -297,6 +263,7 @@ def check_bounds_against_group(report: CommutingGraphReport) -> list:
     if report.is_ac:
         a = max(len(group.centralizer(x)) for x in report.vertex_elements)
     else:
+        from .graphs import max_clique
         a = len(max_clique(commuting_graph_of(group))) + z
     return [
         {"check": "max_commuting_set", "observed": a - z, "limit": bounds.h,

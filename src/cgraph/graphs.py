@@ -1,8 +1,9 @@
 """Simple undirected graphs and their topological operations.
 
 Covers blocks, girth, complete / complete-bipartite recognition,
-planarity, the closed-form genus formulas for K_n and K_{m,n}, Euler/Betti
-genus bounds, and an exact genus oracle that searches rotation systems.
+planarity, the closed-form genus formula for K_{m,n}, Euler/Betti
+genus bounds, an exact genus oracle that searches rotation systems, and the
+block dispatch that picks one of them for each block of a graph.
 A graph is held as a list of neighbour sets.  Blocks come from Hopcroft and
 Tarjan's depth-first search (CACM 1973), and planarity from the path
 embedding of Demoucron, Malgrange and Pertuiset (1964), so no graph library
@@ -14,7 +15,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import accumulate, combinations, permutations
-from typing import NamedTuple
+
+from .genus import GenusResult, genus_complete
 
 # The most rotation systems, prod over vertices of (deg - 1)!, that the oracle
 # accepts.  It turns all but the busiest vertex, the hub, at about 2 us a
@@ -185,6 +187,13 @@ class SimpleGraph:
         n = self.n
         return n >= 3 and self.edge_count > (3 * n - 6 if colour is None else 2 * n - 4)
 
+    def _block_sum(self) -> tuple:
+        """(vertices, shape, genus) of each block; a block of all of the graph
+        is the graph itself."""
+        return tuple((b, *_block_genus(self if len(b) == self.n
+                                       else self.induced_subgraph(b)))
+                     for b in self.blocks())
+
     # -- serialization ----------------------------------------------------
 
     def to_dot(self, name="graph", labels=None) -> str:
@@ -305,45 +314,7 @@ def _planar_block(adj) -> bool:
     return True
 
 
-class GenusResult(NamedTuple):
-    """Either an exact genus with a certificate, or a lower/upper interval;
-    an exact genus is also its own interval."""
-
-    kind: str                       # "exact" | "bounds"
-    value: int | None = None
-    certificate: str | None = None  # exact: how the value was obtained
-    lower: int | None = None
-    upper: int | None = None
-    provenance: tuple = ()          # bounds: sources
-
-    @classmethod
-    def exact(cls, value, certificate):
-        if value < 0:
-            raise ValueError("genus cannot be negative")
-        return cls("exact", value=value, certificate=certificate,
-                   lower=value, upper=value)
-
-    @classmethod
-    def bounds(cls, lower, upper, provenance=()):
-        if not 0 <= lower <= upper:
-            raise ValueError(f"invalid bounds [{lower}, {upper}]")
-        return cls("bounds", lower=lower, upper=upper, provenance=tuple(provenance))
-
-    @property
-    def is_exact(self):
-        return self.kind == "exact"
-
-
 # -- genus formulas and bounds ---------------------------------------------
-
-def genus_complete(n: int) -> int:
-    """Genus of K_n: ceil((n-3)(n-4)/12), which is 0 for n <= 4."""
-    if n < 0:
-        raise ValueError("vertex count cannot be negative")
-    if n <= 4:
-        return 0
-    return -((n - 3) * (n - 4) // -12)
-
 
 def genus_complete_bipartite(m: int, n: int) -> int:
     """Genus of K_{m,n}: ceil((m-2)(n-2)/4), which is 0 when min(m,n) <= 1."""
@@ -525,3 +496,28 @@ def genus_oracle(g: SimpleGraph, lower: int = 0):
                 break
         else:
             return best
+
+
+# -- genus of a block ------------------------------------------------------
+
+def _block_genus(block: SimpleGraph):
+    """Shape (`K{n}`, `K{m},{n}` or `other`) and genus of a single block."""
+    n = block.recognize_complete()
+    if n is not None:
+        return f"K{n}", GenusResult.exact(genus_complete(n), "CompleteFormula")
+    # one two-colouring gives the K_{m,n} shape and the edge cut
+    colour = block._two_colouring()
+    mn = block._complete_bipartite(colour)
+    if mn is not None:
+        return (f"K{mn[0]},{mn[1]}",
+                GenusResult.exact(genus_complete_bipartite(*mn), "BipartiteFormula"))
+    if not block._too_many_edges(colour) and _planar_block(dict(enumerate(block.adj))):
+        return "other", GenusResult.exact(0, "PlanarTest")
+    genus = genus_oracle(block, lower=1)  # the planarity test failed
+    if genus is not None:
+        return "other", GenusResult.exact(genus, "RotationOracle")
+    # a block that failed the planarity test has genus >= 1
+    euler = genus_lower_bound_euler(block)
+    lower, source = (euler, "EulerLower") if euler >= 1 else (1, "NonPlanarLower")
+    return "other", GenusResult.bounds(lower, genus_upper_bound_betti(block),
+                                       [source, "BettiUpper"])

@@ -20,8 +20,10 @@ import re
 from functools import cached_property
 from itertools import compress
 from math import gcd
+from typing import TYPE_CHECKING
 
-from .fields import FieldContext, Mat2
+if TYPE_CHECKING:
+    from .fields import FieldContext
 
 # The largest group order.  A group stores n*|S| action entries and, once
 # asked, k*n centralizer entries for k conjugacy classes (GL(2,9), 5760
@@ -411,6 +413,7 @@ def group_from_permutations(generators, name=None) -> FiniteGroup:
 
 def group_from_matrices(generators, context: FieldContext, name=None) -> FiniteGroup:
     """The matrix group generated by invertible `Mat2` matrices over `context`."""
+    from .fields import Mat2
     gens = list(generators)
     for g in gens:
         if not g.det():

@@ -13,7 +13,6 @@ import math
 from . import catalog
 from .engine import (check_bounds_against_group, commuting_graph,
                      commuting_graph_of, family_genus)
-from .graphs import disjoint_clique_lower_bound
 from .groups import direct_product
 
 
@@ -62,6 +61,7 @@ def _suite_toroidal():
 
 def _s5_witness_check():
     """S5 witness: two disjoint order-6 abelian subgroups force genus >= 2."""
+    from .graphs import disjoint_clique_lower_bound
     report = catalog.report_for("S5")
     group = report.group
     element = {lbl: i for i, lbl in enumerate(group.labels)}

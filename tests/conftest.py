@@ -1,12 +1,17 @@
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
 
+import cgraph
 from cgraph import SimpleGraph
 from cgraph.cli import main
 
@@ -28,6 +33,18 @@ def invoke(args):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(args, standalone_mode=False)
     return Result(code, out.getvalue(), err.getvalue())
+
+
+def run_fresh(code) -> str:
+    """The stdout of `code` run by a fresh interpreter that imports this
+    cgraph; a failure in it fails the caller."""
+    src = str(Path(cgraph.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def table_of(group):
@@ -54,10 +71,10 @@ def peak_bytes(run):
 
 
 @st.composite
-def permutation_generators(draw, max_degree=6):
-    degree = draw(st.integers(1, max_degree))
+def permutation_generators(draw, max_degree=6, min_degree=1, min_size=0):
+    degree = draw(st.integers(min_degree, max_degree))
     perm = st.permutations(range(degree)).map(tuple)
-    return draw(st.lists(perm, max_size=3))
+    return draw(st.lists(perm, min_size=min_size, max_size=3))
 
 
 def complete_graph(n):

@@ -10,7 +10,7 @@ import cgraph
 from cgraph.catalog import catalog_entries
 from cgraph.cli import main
 from cgraph.groups import MAX_ORDER
-from conftest import LATIN5, invoke, peak_bytes, table_of
+from conftest import LATIN5, invoke, peak_bytes, run_fresh, table_of
 
 
 def invoke_json(args):
@@ -51,12 +51,7 @@ def modules_loaded(args=None) -> set:
     if args is not None:
         code += f"main({args!r}, standalone_mode=False)\n"
     code += "print(*sorted(set(sys.modules) - bare))"
-    src = str(Path(cgraph.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    return set(proc.stdout.splitlines()[-1].split())
+    return set(run_fresh(code).splitlines()[-1].split())
 
 
 def test_networkx_is_never_loaded(tmp_path):

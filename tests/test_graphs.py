@@ -20,10 +20,9 @@ from cgraph import (
     max_clique,
 )
 
-from cgraph import engine, graphs
+from cgraph import graphs
 from cgraph.catalog import build
-from cgraph.engine import _block_genus, _block_sum
-from cgraph.graphs import MAX_ROTATION_SYSTEMS
+from cgraph.graphs import MAX_ROTATION_SYSTEMS, _block_genus
 from conftest import complete_bipartite_graph, complete_graph
 
 
@@ -245,7 +244,6 @@ def test_bipartite_edge_cut(monkeypatch, g, planar, path_embedded):
         embedded.append(adj)
         return embed(adj)
     monkeypatch.setattr(graphs, "_planar_block", spy)
-    monkeypatch.setattr(engine, "_planar_block", spy)
     assert g.is_planar() == planar == nx.is_planar(to_nx(g))
     assert bool(embedded) == path_embedded
     embedded.clear()
@@ -271,7 +269,7 @@ def test_a_one_block_graph_is_dispatched_without_a_copy(monkeypatch):
         raise AssertionError("a one-block graph is copied")
     monkeypatch.setattr(SimpleGraph, "induced_subgraph", refuse)
     for g, blocks in zip(cases, expected):
-        assert _block_sum(g) == blocks
+        assert g._block_sum() == blocks
         assert genus_of_graph(g) == blocks[0][2]
 
 
