@@ -3,7 +3,8 @@
 `import cgraph` loads no submodule: each public name is imported from its
 module on first use (PEP 562) and then kept here, so a later lookup is a
 plain attribute.  A `cgraph genus` on an AC-group thus never compiles the
-graph search in `graphs` or the field arithmetic in `fields`.
+graph search in `graphs` or the field arithmetic in `fields`, and only a
+group file compiles the text format in `textformat`.
 """
 
 import importlib
@@ -33,11 +34,11 @@ _HOMES = {
     "max_clique": "graphs",
     "FiniteGroup": "groups",
     "direct_product": "groups",
-    "group_from_file_text": "groups",
     "group_from_matrices": "groups",
     "group_from_operation": "groups",
     "group_from_permutations": "groups",
-    "group_from_table": "groups",
+    "group_from_file_text": "textformat",
+    "group_from_table": "textformat",
 }
 
 __all__ = sorted(_HOMES)

@@ -66,11 +66,12 @@ def test_networkx_is_never_loaded(tmp_path):
 
 
 def test_cli_process_loads_no_click_inspect_or_dataclasses():
-    # each costs start-up time and computes nothing: argparse parses the
-    # options, and typing.NamedTuple makes the records
+    # each costs start-up time and computes nothing: `cli.COMMANDS` parses
+    # the options, not argparse (which loads gettext and locale), and
+    # typing.NamedTuple makes the records
     loaded = modules_loaded(["genus", "--name", "D", "--param", "8"])
     assert "cgraph.engine" in loaded
-    assert not loaded & {"click", "inspect", "dataclasses"}
+    assert not loaded & {"click", "inspect", "dataclasses", "argparse", "gettext", "locale"}
 
 
 def failing_acyclic_suite():
@@ -103,6 +104,11 @@ def test_help_exits_0(command):
     assert result.stdout.startswith(f"usage: {' '.join(['cgraph', *command])} ")
 
 
+@pytest.mark.parametrize("command", [[], ["genus"]])
+def test_short_h_is_help(command):
+    assert invoke([*command, "-h"]) == invoke([*command, "--help"])
+
+
 @pytest.mark.parametrize("args", [
     [],
     ["nonsense"],
@@ -110,13 +116,44 @@ def test_help_exits_0(command):
     ["genus", "--name", "D", "--param", "x"],
     ["genus", "--nam", "D", "--param", "8"],
     ["info", "--name", "Q8", "--verb"],
+    ["verify", "nonsense"],
+    ["verify"],
+    ["info", "--name", "Q8", "--file", "q8.group"],
+    ["info", "--name"],
+    ["info", "--name", "Q8", "--verbose=yes"],
+    ["genus", "--name", "Q8", "extra"],
 ], ids=["no-command", "unknown-command", "export-dot-without-out", "param-not-int",
-        "abbreviated-name", "abbreviated-verbose"])
+        "abbreviated-name", "abbreviated-verbose", "unknown-suite", "no-suite",
+        "name-and-file", "name-without-value", "flag-with-value", "extra-positional"])
 def test_argument_errors_exit_2_with_usage(args):
     result = invoke(args)
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.startswith("usage: cgraph")
+
+
+@pytest.mark.parametrize("args", [
+    ["genus", "--name=D", "--param=400"],
+    ["genus", "--name", "D", "--param", "16", "--param", "400"],
+], ids=["equals-form", "last-param-wins"])
+def test_option_forms_give_the_same_bytes(args):
+    spaced = invoke(["genus", "--name", "D", "--param", "400"])
+    assert spaced.exit_code == 0
+    assert invoke(args) == spaced
+
+
+def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
+    # the console script calls main() with no arguments
+    monkeypatch.setattr(sys, "argv", ["cgraph", "info", "--name=Q8"])
+    assert main(standalone_mode=False) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 8
+
+
+@pytest.mark.parametrize("filename", ["s3.group", "a.b.group", ".group", "s3.", "s3"])
+def test_a_file_is_named_by_its_stem(tmp_path, filename):
+    path = tmp_path / filename
+    path.write_text("order 6\nperm-generators 3\n(1 2)\n(1 2 3)\n")
+    assert invoke_json(["info", "--file", str(path)])["name"] == path.stem
 
 
 def test_info_from_table_file(tmp_path):

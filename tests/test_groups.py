@@ -16,7 +16,8 @@ from cgraph import (
     group_from_table,
 )
 from cgraph.catalog import build, catalog_entries
-from cgraph.groups import MAX_ORDER, parse_cycles, perm_cycle_label
+from cgraph.groups import MAX_ORDER, perm_cycle_label
+from cgraph.textformat import parse_cycles
 from cgraph.engine import commuting_graph
 from conftest import LATIN5, peak_bytes, permutation_generators, table_of
 

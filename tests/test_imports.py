@@ -1,6 +1,7 @@
 """What each entry point loads, every case in a fresh interpreter: `import
 cgraph` loads no submodule, a `genus` on an AC-group runs no graph search,
-and any module imported first brings in what it needs."""
+only `verify` loads the suites and only a group file the text format, and
+any module imported first brings in what it needs."""
 
 import pytest
 
@@ -20,17 +21,25 @@ PUBLIC_NAMES = {
 }
 
 
-def run_command(args):
-    """(exit code, cgraph submodules loaded) of `cgraph ARGS...`."""
+def run_commands(commands):
+    """(exit codes, cgraph submodules loaded) of `cgraph ARGS...` for each
+    ARGS in `commands`, one after another in one interpreter."""
     out = run_fresh(
         "import io, sys\n"
         "from contextlib import redirect_stdout\n"
         "from cgraph.cli import main\n"
         "with redirect_stdout(io.StringIO()):\n"
-        f"    code = main({args!r}, standalone_mode=False)\n"
-        "print(code, *sorted(m for m in sys.modules if m.startswith('cgraph.')))\n")
-    code, *modules = out.split()
-    return int(code), set(modules)
+        f"    codes = [main(args, standalone_mode=False) for args in {commands!r}]\n"
+        "print(*codes)\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('cgraph.')))\n")
+    codes, modules = out.splitlines()
+    return [int(code) for code in codes.split()], set(modules.split())
+
+
+def run_command(args):
+    """(exit code, cgraph submodules loaded) of `cgraph ARGS...`."""
+    (code,), modules = run_commands([args])
+    return code, modules
 
 
 def test_import_cgraph_loads_no_submodule():
@@ -67,19 +76,54 @@ def test_a_matrix_ac_group_loads_no_graph_search(name, param):
     assert "cgraph.fields" in modules and "cgraph.graphs" not in modules
 
 
-@pytest.mark.parametrize("args", [
-    ["genus", "--name", "S", "--param", "4"],   # not AC: its blocks need the graph
-    ["verify", "all"],                          # the S5 witness and non-AC entries
+@pytest.mark.parametrize("args, loaded", [
+    # not AC: its blocks need the graph
+    (["genus", "--name", "S", "--param", "4"], {"cgraph.graphs"}),
+    # the S5 witness and non-AC entries, and the suites themselves
+    (["verify", "all"], {"cgraph.graphs", "cgraph.verify"}),
 ], ids=["S4", "verify-all"])
-def test_a_non_ac_group_loads_the_graph_search(args):
+def test_a_non_ac_group_loads_the_graph_search(args, loaded):
     code, modules = run_command(args)
     assert code == 0
-    assert "cgraph.graphs" in modules
+    assert loaded <= modules
+
+
+def test_a_catalog_group_loads_neither_verify_nor_the_text_format(tmp_path):
+    # all in one interpreter: a module that none of them loads is missing
+    # from what they load together
+    groups = [["--name", "D", "--param", "400"], ["--name", "Q", "--param", "400"],
+              ["--name", "SD", "--param", "256"], ["--name", "PSL(2,8)"]]
+    commands = [[command, *group] for command in ("genus", "info") for group in groups]
+    commands.append(["export-dot", "--name", "D", "--param", "400",
+                     "--out", str(tmp_path / "d400.dot")])
+    codes, modules = run_commands(commands)
+    assert codes == [0] * len(commands)
+    assert {"cgraph.engine", "cgraph.fields"} <= modules
+    assert not modules & {"cgraph.verify", "cgraph.textformat"}
+
+
+def test_a_group_file_loads_the_text_format(tmp_path):
+    path = tmp_path / "s3.group"
+    path.write_text("order 6\nperm-generators 3\n(1 2)\n(1 2 3)\n")
+    code, modules = run_command(["info", "--file", str(path)])
+    assert code == 0
+    assert "cgraph.textformat" in modules and "cgraph.verify" not in modules
+
+
+def test_cli_suites_are_verify_suites_loaded_on_first_use():
+    out = run_fresh(
+        "import sys\n"
+        "from cgraph import cli\n"
+        "print('cgraph.verify' in sys.modules)\n"
+        "suites = cli.SUITES\n"
+        "from cgraph import verify\n"
+        "print(suites is verify.SUITES)\n")
+    assert out.split() == ["False", "True"]
 
 
 @pytest.mark.parametrize("module", [
     "cgraph.genus", "cgraph.graphs", "cgraph.engine", "cgraph.fields",
-    "cgraph.groups", "cgraph.catalog", "cgraph.verify", "cgraph.cli",
+    "cgraph.groups", "cgraph.textformat", "cgraph.catalog", "cgraph.verify", "cgraph.cli",
 ])
 def test_any_module_imports_first(module):
     # a cycle between modules would fail whichever of its members comes first
