@@ -19,13 +19,14 @@ from itertools import accumulate, combinations, permutations
 from .genus import GenusResult, genus_complete
 
 # The most rotation systems, prod over vertices of (deg - 1)!, that the oracle
-# accepts.  It turns all but the busiest vertex, the hub, at about 2 us a
-# setting, and scores the hub's orders at 0.5 us each for a new walk map
-# (CPython 3.11, 2-vCPU AMD EPYC VM): to the end, 3 ms on a 41,472-system
-# block, 14 ms on the Heawood graph and 61 ms on the Moebius-Kantor graph,
-# whose hubs have 2 orders.  Floored at 1, Heawood takes 0.6 ms.  K_{1,3,3}
+# accepts.  It turns all but the busiest vertex, the hub, at about 3-4 us a
+# setting, and reads the hub's best cyclic order off a formula in O(deg), so
+# the count overstates the work by the hub's (deg - 1)! (CPython 3.11.7,
+# 2-vCPU Intel Xeon VM): to the end, 5 ms on a 41,472-system block, 31 ms on
+# the Heawood graph and 0.14 s on the Moebius-Kantor graph, all of whose
+# vertices have degree 3.  Floored at 1, Heawood takes 1.2 ms.  K_{1,3,3}
 # (5,598,720 systems but 46,656 settings) is refused and gets bounds, though
-# floored it takes 13 ms.
+# floored it takes 4 ms.
 MAX_ROTATION_SYSTEMS = 10 ** 5
 
 
@@ -102,12 +103,14 @@ class SimpleGraph:
                         visited.append(w)
                         path.append((w, iter(self.adj[w])))
                         break
-                    low[u] = min(low[u], depth[w])
+                    if depth[w] < low[u]:
+                        low[u] = depth[w]
                 else:
                     path.pop()
                     if path:
                         p = path[-1][0]
-                        low[p] = min(low[p], low[u])
+                        if low[u] < low[p]:
+                            low[p] = low[u]
                         if low[u] >= depth[p]:
                             block = [p]
                             while block[-1] != u:
@@ -263,8 +266,11 @@ def _planar_block(adj) -> bool:
 
     fragments = pieces([u, w], {u, w})
     while fragments:
-        contacts, inside, fits = fragments.pop(
-            min(range(len(fragments)), key=lambda i: len(fragments[i][2])))
+        pick, fewest = 0, len(fragments[0][2])  # the first that fits fewest
+        for i in range(1, len(fragments)):
+            if len(fragments[i][2]) < fewest:
+                pick, fewest = i, len(fragments[i][2])
+        contacts, inside, fits = fragments.pop(pick)
         if not fits:
             return False
         if not inside:
@@ -402,10 +408,15 @@ def genus_oracle(g: SimpleGraph, lower: int = 0):
     The vertex of highest degree, the hub, leaves the enumeration (as in G.
     Brinkmann's practical genus algorithm, Ars Math. Contemp. 2022).  For
     each setting of the other vertices, one walk along phi from each of the
-    hub's out-darts to the next dart into it gives a map w on the hub's
-    positions, and the faces through the hub under its cyclic order succ are
-    the cycles of i -> w[succ[i]]: O(deg) per order, and the best order for
-    each w is remembered.  The floor is checked after every order.
+    hub's out-darts to the next dart into it gives a permutation w of the
+    hub's deg positions, and the faces through the hub under its cyclic
+    order succ are the cycles of i -> w[succ[i]].  The best order gives
+    deg + 1 - c(w) of them, c(w) the cycle count of w: no more, as w, succ
+    and their product form a hypermap on deg darts, whose genus
+    (deg + 1 - c(w) - faces) / 2 is at least 0, and exactly that many, as
+    some cyclic order makes it 0 for every cycle type of w (I. P. Goulden
+    and D. M. Jackson, Europ. J. Combin. 13, 1992).  So the hub costs
+    O(deg) per setting, and the floor is checked once per setting.
     """
     floor_genus = max(lower, genus_lower_bound_euler(g))  # refuses a disconnected g
     v, e = g.n, g.edge_count
@@ -427,8 +438,9 @@ def genus_oracle(g: SimpleGraph, lower: int = 0):
     hub = max(range(v), key=lambda b: len(nbrs[b]))
     starts = list(accumulate(map(len, nbrs), initial=0))
     free = starts[:v]
-    # runs: [run, out-darts, orders, their fills, built at the first turn] of
-    # the non-hub vertices with a choice; most calls stop before most turn
+    # runs: [run, out-darts, fills built at the first turn] of the non-hub
+    # vertices with a choice; most calls stop before most turn.  A vertex
+    # starts at its first cyclic order, the identity, 0 -> 1 -> .. -> 0
     phi, runs = [0] * 2 * e, []
     for b in range(v):
         out = [free[c] for c in nbrs[b]]
@@ -440,13 +452,11 @@ def genus_oracle(g: SimpleGraph, lower: int = 0):
             hub_in[first:first + len(out)] = b"\1" * len(out)
             continue
         run = slice(starts[b], starts[b + 1])
-        orders = _cyclic_orders(len(out))
-        phi[run] = [out[y] for y in orders[0]]
-        if len(orders) > 1:
-            runs.append([run, out, orders, None])
+        phi[run] = out[1:] + out[:1]
+        if len(out) >= 3:
+            runs.append([run, out, None])
 
-    hub_orders, most_cycles = _cyclic_orders(len(hub_out)), {}  # w -> most hub faces
-    choice, best = [0] * len(runs), math.inf
+    deg, choice, best = len(hub_out), [0] * len(runs), math.inf
     while True:
         seen, w = bytearray(hub_in), []
         for d in hub_out:
@@ -461,35 +471,25 @@ def genus_oracle(g: SimpleGraph, lower: int = 0):
                 seen[d] = 1
                 d = phi[d]
             d = seen.find(0, d)
-        rest = 2 - v + e - faces  # twice the genus, once the hub's faces are subtracted
-        w = tuple(w)
-        most = most_cycles.get(w)
-        if most is None:
-            most = 0
-            for succ in hub_orders:
-                p, cycles = [w[y] for y in succ], 0
-                for i in range(len(p)):
-                    if p[i] >= 0:
-                        cycles += 1
-                        while p[i] >= 0:
-                            p[i], i = -1, p[i]
-                if cycles > most:
-                    most = cycles
-                    if (rest - most) // 2 == floor_genus:
-                        return floor_genus
-                    # each order is one deg-cycle, so all of them give a count
-                    # of one parity: deg - 1 means deg is out of reach
-                    if most >= len(p) - 1:
-                        break
-            most_cycles[w] = most
-        best = min(best, (rest - most) // 2)
-        if best == floor_genus:
-            return best
+        cycles = deg  # c(w), by sorting w in place: each swap splits off a cycle
+        for i in range(deg):
+            j = w[i]
+            while j != i:
+                w[i], w[j] = w[j], j
+                j = w[i]
+                cycles -= 1
+        most = deg + 1 - cycles  # the hub's faces under its best cyclic order
+        genus = (2 - v + e - faces - most) // 2
+        if genus < best:
+            best = genus
+            if best == floor_genus:
+                return best
         # the next setting of the other vertices, the last turning fastest
         for k in reversed(range(len(runs))):
-            run, out, orders, fills = runs[k]
+            run, out, fills = runs[k]
             if fills is None:
-                fills = runs[k][3] = [[out[y] for y in succ] for succ in orders]
+                fills = runs[k][2] = [[out[y] for y in succ]
+                                      for succ in _cyclic_orders(len(out))]
             choice[k] = (choice[k] + 1) % len(fills)
             phi[run] = fills[choice[k]]
             if choice[k]:

@@ -281,6 +281,12 @@ class FiniteGroup:
         """Deduplicated sorted tuples C(u) \\ Z over all non-central u, sorted."""
         if self.is_abelian():
             raise ValueError("centralizer family requires a non-abelian group")
+        return self._centralizer_family
+
+    @cached_property
+    def _centralizer_family(self) -> tuple:
+        """centralizer_family, built once: the AC test and an AC-group's
+        blocks both read it."""
         z = set(self.center())
         stored = {id(c): c for c in self._centralizers}.values()  # shared tuples once
         distinct = {c for c in stored if len(c) < self.order}

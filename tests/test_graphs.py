@@ -404,8 +404,8 @@ def test_oracle_complete(n, expected):
     assert genus_oracle(complete_graph(n)) == expected
 
 
-# K_{1,8}: the hub's 5,040 orders are the only choice, and the floor is met
-# within them
+# K_{1,8}: the hub is the only vertex with a choice, so the search is one
+# setting, scored by the formula over the hub's 5,040 orders
 @pytest.mark.parametrize("m,n,expected", [(2, 2, 0), (2, 3, 0), (3, 3, 1), (1, 8, 0)])
 def test_oracle_complete_bipartite(m, n, expected):
     assert genus_oracle(complete_bipartite_graph(m, n)) == expected
@@ -440,16 +440,50 @@ def test_oracle_heawood_graph_runs_to_the_end():
 
 
 def test_oracle_searches_a_block_of_41472_systems_to_the_end():
-    # degrees 3,2,4,3,4,5,3,4: the hub, vertex 5, has 24 cyclic orders, scored
-    # from one walk map at each of the 1,728 settings of the other vertices.
-    # The Euler floor is 0 and the genus is 1, so nothing stops early
+    # degrees 3,2,4,3,4,5,3,4: the hub, vertex 5, has 24 cyclic orders, the
+    # best of them read off one walk map at each of the 1,728 settings of the
+    # other vertices.  The Euler floor is 0 and the genus is 1, so nothing
+    # stops early; floored at 1, the search stops at the first toroidal system
     g = SimpleGraph(8, [(0, 2), (0, 4), (0, 6), (1, 3), (1, 7), (2, 4), (2, 5),
                         (2, 7), (3, 4), (3, 5), (4, 5), (5, 6), (5, 7), (6, 7)])
     assert g.blocks() == (tuple(range(8)),)
     assert math.prod(math.factorial(len(a) - 1) for a in g.adj) == 41_472
     assert genus_lower_bound_euler(g) == 0
     assert genus_oracle(g) == 1
+    assert genus_oracle(g, lower=1) == 1
     assert genus_of_graph(g)[:3] == ("exact", 1, "RotationOracle")
+
+
+def cycle_count(p):
+    """The number of cycles of the permutation i -> p[i]."""
+    seen, cycles = set(), 0
+    for i in range(len(p)):
+        if i not in seen:
+            cycles += 1
+            while i not in seen:
+                seen.add(i)
+                i = p[i]
+    return cycles
+
+
+def most_hub_faces(w):
+    """The most cycles of i -> w[succ[i]] over the cyclic orders succ of
+    w's positions: the faces through the hub under its best order."""
+    return max(cycle_count([w[y] for y in succ])
+               for succ in graphs._cyclic_orders(len(w)))
+
+
+# the oracle scores its hub by k + 1 - cycles(w) without trying its orders
+@pytest.mark.parametrize("k", range(1, 7))
+def test_best_hub_order_gives_k_plus_1_minus_the_walk_map_cycles(k):
+    for w in permutations(range(k)):
+        assert most_hub_faces(w) == k + 1 - cycle_count(w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.permutations(range(7)))
+def test_best_hub_order_formula_on_a_hub_of_degree_7(w):
+    assert most_hub_faces(w) == 8 - cycle_count(w)
 
 
 def test_oracle_returns_none_over_system_limit(k133):
