@@ -35,9 +35,10 @@ def _total(blocks) -> GenusResult:
 def genus_of_graph(g: SimpleGraph) -> GenusResult:
     """Total genus: sum over connected components, each a sum over blocks."""
     blocks = g._block_sum()
-    total = _total(blocks)
     # an exact genus of a lone block keeps that block's certificate
-    return blocks[0][2] if len(blocks) == 1 and total.is_exact else total
+    if len(blocks) == 1 and blocks[0][2].is_exact:
+        return blocks[0][2]
+    return _total(blocks)
 
 
 # -- commuting graphs ------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, chain, combinations, permutations
 
 from .genus import GenusResult, genus_complete
 
@@ -180,9 +180,12 @@ class SimpleGraph:
         planar."""
         if self._too_many_edges(self._two_colouring()):
             return False
+        blocks, adj = self.blocks(), self.adj
+        if len(blocks) == 1 and len(blocks[0]) == self.n > 4:
+            return _planar_block(dict(enumerate(adj)))  # the block is the graph
         # a block of at most four vertices is a subgraph of K4
-        return all(_planar_block({v: self.adj[v].intersection(b) for v in b})
-                   for b in self.blocks() if len(b) > 4)
+        return all(_planar_block({v: adj[v] & b for v in b})
+                   for b in map(set, blocks) if len(b) > 4)
 
     def _too_many_edges(self, colour) -> bool:
         """E > 3V - 6, or E > 2V - 4 if `colour` is a two-colouring, as then
@@ -227,28 +230,36 @@ def _planar_block(adj) -> bool:
     a fragment fits a face whose boundary holds all its embedded contacts.
     The graph is non-planar iff some fragment fits no face.  Otherwise a path
     through a fragment between two contacts, taken from a fragment that fits
-    the fewest faces, splits one of them in two.  That fragment falls into
-    the pieces it leaves unembedded; every other keeps its contacts, and if
-    it fitted the split face, it fits each half that holds them all.  A step
-    walks the fragment it embeds from, which can be most of the graph, so a
-    planar block still costs up to O(V E).  The big commuting-graph blocks
-    never get here, as they fail E <= 3V - 6, but large sparse planar graphs
-    do: triangular lattices of 231, 496 and 1,081 vertices take 0.009, 0.035
-    and 0.16 s (2-vCPU AMD EPYC VM), where networkx takes 0.005-0.05 s.
+    the fewest faces, or only one, splits one of them in two.  That fragment
+    falls into the pieces it leaves unembedded; every other keeps its
+    contacts, and if it fitted the split face, it fits each half that holds
+    them all.
+
+    The path is depth first: it ends only at a vertex that has nothing left
+    to reach and touches another contact, so it takes in much of a fragment
+    and the pieces it leaves are small.  When a face splits, the smaller half
+    takes the new index, so only the vertices on that half alone move.  A
+    step can still walk most of the graph, so a planar block costs up to
+    O(V E).  The big commuting-graph blocks never get here, as they fail
+    E <= 3V - 6, but large sparse planar graphs do: triangular lattices of
+    231, 496 and 1,081 vertices take about 5, 14 and 37 ms (2-vCPU Intel
+    Xeon VM), where networkx takes 10, 24 and 52 ms.
     """
     u = min(adj)
     w = min(adj[u])
     faces, faces_at = [[u, w]], {u: {0}, w: {0}}  # embedded vertex -> its faces
 
-    def pieces(path, new):
+    def pieces(path):
         """(contacts, unembedded vertices, faces fitted) of each fragment left
-        by embedding `path`, whose vertices `new` are new; an edge has none."""
-        on = set(zip(path, path[1:])) | set(zip(path[1:], path))
-        found, seen = [], set()
-        for a in new:
+        by embedding `path`, all of whose vertices but its two ends are new;
+        an edge has no unembedded vertices."""
+        inner = path[1:-1]
+        new, found, seen = set(inner), [], set()
+        for t, a in enumerate(inner, 1):
+            along = path[t - 1], path[t + 1]  # a's edges on the path
             for b in adj[a]:
                 if b in faces_at:
-                    if (a, b) not in on and (a < b or b not in new):
+                    if b not in along and (a < b or b not in new):
                         found.append(({a, b}, (), faces_at[a] & faces_at[b]))
                 elif b not in seen:
                     contacts, inside, stack = set(), {b}, [b]
@@ -260,38 +271,42 @@ def _planar_block(adj) -> bool:
                                 inside.add(y)
                                 stack.append(y)
                     seen |= inside
-                    found.append((contacts, inside,
-                                  set.intersection(*(faces_at[c] for c in contacts))))
+                    fits = set.intersection(*map(faces_at.__getitem__, contacts))
+                    found.append((contacts, inside, fits))
         return found
 
-    fragments = pieces([u, w], {u, w})
+    fragments = pieces([w, u, w, u])  # the first edge, closed both ways round its face
     while fragments:
-        pick, fewest = 0, len(fragments[0][2])  # the first that fits fewest
+        # the first that fits fewest, or the first that fits at most one face
+        pick, fewest = 0, len(fragments[0][2])
         for i in range(1, len(fragments)):
+            if fewest <= 1:
+                break
             if len(fragments[i][2]) < fewest:
                 pick, fewest = i, len(fragments[i][2])
         contacts, inside, fits = fragments.pop(pick)
         if not fits:
             return False
-        if not inside:
-            path = sorted(contacts)
-        else:  # from a contact a through the fragment to another contact
+        if inside:  # depth first from a through the fragment to another contact
             a = min(contacts)
-            others = contacts - {a}
-            start = min(adj[a] & inside)
-            parent = {start: a}
-            queue = [start]
-            for x in queue:
-                ends = adj[x] & others
-                if ends:
+            others, left = contacts - {a}, set(inside)
+            x = min(adj[a] & inside)
+            left.discard(x)
+            path = [a, x]
+            while True:
+                step = adj[x] & left
+                if step:
+                    x = step.pop()
+                    left.discard(x)
+                    path.append(x)
+                elif ends := adj[x] & others:
                     break
-                for y in adj[x] & inside:
-                    if y not in parent:
-                        parent[y] = x
-                        queue.append(y)
-            path = [min(ends), x]
-            while path[-1] != a:
-                path.append(parent[path[-1]])
+                else:  # a dead end: back out of it
+                    path.pop()
+                    x = path[-1]
+            path.append(min(ends))
+        else:  # an edge is its own path
+            path = [*contacts]
 
         k = min(fits)
         face = faces[k]
@@ -299,24 +314,38 @@ def _planar_block(adj) -> bool:
         if i > j:
             path.reverse()
             i, j = j, i
-        # face[i..j] closed back along the path, and face[j..i] along it
+        # face[i..j] closed back along the path, and face[j..i] along it; the
+        # smaller half takes the new index, so only its own vertices move
         inner = path[1:-1]
-        for v in face:
-            faces_at[v].discard(k)
+        new = len(faces)
+        if 2 * (j - i) <= len(face):
+            moved = face[i + 1:j]
+            faces[k] = face[j:] + face[:i + 1] + inner
+            faces.append(face[i:j + 1] + inner[::-1])
+        else:
+            moved = face[j + 1:] + face[:i]
+            faces[k] = face[i:j + 1] + inner[::-1]
+            faces.append(face[j:] + face[:i + 1] + inner)
+        for v in moved:
+            at = faces_at[v]
+            at.discard(k)
+            at.add(new)
+        faces_at[path[0]].add(new)
+        faces_at[path[-1]].add(new)
         for v in inner:
-            faces_at[v] = set()
-        faces[k] = face[i:j + 1] + inner[::-1]
-        faces.append(face[j:] + face[:i + 1] + inner)
-        halves = (k, len(faces) - 1)
-        for index in halves:
-            for v in faces[index]:
-                faces_at[v].add(index)
-        for other, _, other_fits in fragments:
-            if k in other_fits:
-                other_fits.discard(k)
-                other_fits.update(h for h in halves
-                                  if all(h in faces_at[c] for c in other))
-        fragments += pieces(path, set(inner))
+            faces_at[v] = {k, new}
+        # a fragment on face k lies on the large half unless it touches a
+        # moved vertex, and on the small half if all its contacts are there
+        on_k = [f for f in fragments if k in f[2]]
+        if on_k:
+            moved, small = set(moved), set(faces[new])
+            for other, _, other_fits in on_k:
+                if not other.isdisjoint(moved):
+                    other_fits.discard(k)
+                if other <= small:
+                    other_fits.add(new)
+        if inner:
+            fragments += pieces(path)
     return True
 
 
@@ -335,16 +364,23 @@ def genus_lower_bound_euler(g: SimpleGraph) -> int:
     """ceil((E - 3V + 6)/6), valid for connected graphs with V >= 3."""
     if not g.is_connected():
         raise ValueError("Euler lower bound requires a connected graph")
-    if g.n < 3:
-        return 0
-    return max(0, -((g.edge_count - 3 * g.n + 6) // -6))
+    return _euler_lower(g.n, g.edge_count)
 
 
 def genus_upper_bound_betti(g: SimpleGraph) -> int:
     """floor((E - V + 1)/2): the cycle rank halved, always an upper bound."""
     if not g.is_connected():
         raise ValueError("Betti upper bound requires a connected graph")
-    return max(0, (g.edge_count - g.n + 1) // 2)
+    return _betti_upper(g.n, g.edge_count)
+
+
+# the two bounds of a connected graph, read off its vertex and edge counts
+def _euler_lower(n, e):
+    return 0 if n < 3 else max(0, -((e - 3 * n + 6) // -6))
+
+
+def _betti_upper(n, e):
+    return max(0, (e - n + 1) // 2)
 
 
 def disjoint_clique_lower_bound(g: SimpleGraph, clique_a, clique_b) -> int:
@@ -423,38 +459,38 @@ def genus_oracle(g: SimpleGraph, lower: int = 0):
     if e == 0:
         return 0
     adj = g.adj
+    degrees = list(map(len, adj))
     systems = 1
-    for a in range(v):  # every degree is >= 1 in a connected graph with an edge
-        systems *= math.factorial(len(adj[a]) - 1)
+    for d in degrees:  # every degree is >= 1 in a connected graph with an edge
+        systems *= math.factorial(d - 1)
         if systems > MAX_ROTATION_SYSTEMS:
             return None
 
     # Darts are integers, those into b a run from starts[b] in the order of b's
     # neighbours, so the face permutation phi (a -> b, then b -> a's successor
-    # at b) is a flat list, and each cyclic order at b fills b's run.  As b
-    # ascends, its out-dart to c is the next free place in c's run.  The hub's
-    # run is never read: the walks stop at its in-darts, which start out seen.
-    nbrs = [sorted(adj[b]) for b in range(v)]
-    hub = max(range(v), key=lambda b: len(nbrs[b]))
-    starts = list(accumulate(map(len, nbrs), initial=0))
-    free = starts[:v]
-    # runs: [run, out-darts, fills built at the first turn] of the non-hub
-    # vertices with a choice; most calls stop before most turn.  A vertex
-    # starts at its first cyclic order, the identity, 0 -> 1 -> .. -> 0
-    phi, runs = [0] * 2 * e, []
+    # at b) is a flat list, and each cyclic order at b fills b's run.  Sorted
+    # stably by tail, the darts list each b's out-darts in the order of its
+    # neighbours too.  The hub's run is never read: the walks stop at its
+    # in-darts, which start out seen.
+    nbrs = list(map(sorted, adj))
+    hub = degrees.index(max(degrees))
+    starts = list(accumulate(degrees, initial=0))
+    outs = sorted(range(2 * e), key=list(chain.from_iterable(nbrs)).__getitem__)
+    # a vertex starts at its first cyclic order, the identity, 0 -> 1 -> .. -> 0,
+    # so phi is each run of outs turned by one.  runs: (run, out-darts, number
+    # of orders, fills) of the non-hub vertices with a choice, where fills[c]
+    # is built the first time the vertex turns to order c, as most calls stop
+    # within a few settings
+    phi, runs = outs[1:] + outs[:1], []
     for b in range(v):
-        out = [free[c] for c in nbrs[b]]
-        for c in nbrs[b]:
-            free[c] += 1
-        if b == hub:
-            hub_out, first = out, starts[b]
-            hub_in = bytearray(2 * e)
-            hub_in[first:first + len(out)] = b"\1" * len(out)
-            continue
-        run = slice(starts[b], starts[b + 1])
-        phi[run] = out[1:] + out[:1]
-        if len(out) >= 3:
-            runs.append([run, out, None])
+        s, t = starts[b], starts[b + 1]
+        phi[t - 1] = outs[s]
+        if degrees[b] >= 3 and b != hub:
+            runs.append((slice(s, t), outs[s:t], math.factorial(degrees[b] - 1), {}))
+    first = starts[hub]
+    hub_out = outs[first:starts[hub + 1]]
+    hub_in = bytearray(2 * e)
+    hub_in[first:first + len(hub_out)] = b"\1" * len(hub_out)
 
     deg, choice, best = len(hub_out), [0] * len(runs), math.inf
     while True:
@@ -486,13 +522,13 @@ def genus_oracle(g: SimpleGraph, lower: int = 0):
                 return best
         # the next setting of the other vertices, the last turning fastest
         for k in reversed(range(len(runs))):
-            run, out, fills = runs[k]
-            if fills is None:
-                fills = runs[k][2] = [[out[y] for y in succ]
-                                      for succ in _cyclic_orders(len(out))]
-            choice[k] = (choice[k] + 1) % len(fills)
-            phi[run] = fills[choice[k]]
-            if choice[k]:
+            run, out, period, fills = runs[k]
+            c = choice[k] = (choice[k] + 1) % period
+            fill = fills.get(c)
+            if fill is None:
+                fill = fills[c] = [out[y] for y in _cyclic_orders(len(out))[c]]
+            phi[run] = fill
+            if c:
                 break
         else:
             return best
@@ -516,8 +552,9 @@ def _block_genus(block: SimpleGraph):
     genus = genus_oracle(block, lower=1)  # the planarity test failed
     if genus is not None:
         return "other", GenusResult.exact(genus, "RotationOracle")
-    # a block that failed the planarity test has genus >= 1
-    euler = genus_lower_bound_euler(block)
+    # a block that failed the planarity test has genus >= 1; it is connected,
+    # so both bounds are read off its counts
+    n, e = block.n, block.edge_count
+    euler = _euler_lower(n, e)
     lower, source = (euler, "EulerLower") if euler >= 1 else (1, "NonPlanarLower")
-    return "other", GenusResult.bounds(lower, genus_upper_bound_betti(block),
-                                       [source, "BettiUpper"])
+    return "other", GenusResult.bounds(lower, _betti_upper(n, e), [source, "BettiUpper"])

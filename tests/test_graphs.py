@@ -155,8 +155,10 @@ def test_maximal_planar_graphs_and_one_edge_more(n):
 @st.composite
 def thinned_triangulations(draw):
     """stacked_triangulation(n), n <= 40, less up to n of its edges and plus
-    up to two others, with a subdivided K5 or K3,3 glued on at one vertex a
-    third of the time each."""
+    up to two others, then with up to four edges subdivided, and with a
+    subdivided K5 or K3,3 glued on at one vertex a third of the time each.
+    A subdivision vertex whose far end is already on a depth-first path is a
+    dead end, so the path embedding has to back out of it."""
     n = draw(st.integers(4, 40))
     g = stacked_triangulation(n)
     edges = g.edges()
@@ -164,6 +166,11 @@ def thinned_triangulations(draw):
     missing = [e for e in combinations(range(n), 2) if not g.has_edge(*e)]
     added = draw(st.sets(st.sampled_from(missing), max_size=2)) if missing else set()
     edges = [e for e in edges if e not in dropped] + sorted(added)
+    if edges:
+        for u, v in sorted(draw(st.sets(st.sampled_from(edges), max_size=4))):
+            edges.remove((u, v))
+            edges += [(u, n), (v, n)]
+            n += 1
     kuratowski = draw(st.sampled_from([None, complete_graph(5),
                                        complete_bipartite_graph(3, 3)]))
     if kuratowski is not None:
@@ -198,10 +205,15 @@ def triangular_lattice(rows, cols):
     return SimpleGraph(rows * cols, edges)
 
 
+def chorded_lattice(rows, cols):
+    """triangular_lattice(rows, cols) and a chord from (1, 1) to
+    (rows - 2, cols - 2), two interior vertices that share no face."""
+    g = triangular_lattice(rows, cols)
+    return SimpleGraph(g.n, g.edges() + [(cols + 1, (rows - 2) * cols + cols - 2)])
+
+
 def test_a_chord_across_a_triangular_lattice_makes_it_non_planar():
-    g = triangular_lattice(15, 15)
-    # two interior vertices far apart, which share no face of the lattice
-    h = SimpleGraph(g.n, g.edges() + [(1 * 15 + 1, 13 * 15 + 13)])
+    g, h = triangular_lattice(15, 15), chorded_lattice(15, 15)
     # the chord passes the edge cut, so the path embedding has to refuse it
     assert h.edge_count <= 3 * h.n - 6 and h._two_colouring() is None
     assert g.is_planar() and not h.is_planar()
@@ -217,7 +229,13 @@ def test_a_chord_across_a_triangular_lattice_makes_it_non_planar():
     (nx.petersen_graph(), False),
     (nx.heawood_graph(), False),
     (nx.triangular_lattice_graph(20, 20), True),  # 231 vertices, 630 edges
-], ids=["octahedron", "icosahedron", "petersen", "heawood", "lattice231"])
+    # one block each, which is_planar() embeds without restricting it
+    (to_nx(triangular_lattice(31, 16)), True),  # 496 vertices, 1,395 edges
+    (to_nx(chorded_lattice(31, 16)), False),
+    (to_nx(triangular_lattice(23, 47)), True),  # 1,081 vertices, 3,104 edges
+    (to_nx(chorded_lattice(23, 47)), False),
+], ids=["octahedron", "icosahedron", "petersen", "heawood", "lattice231",
+        "lattice496", "lattice496-chord", "lattice1081", "lattice1081-chord"])
 def test_is_planar_named_graphs(h, planar):
     assert from_nx(h).is_planar() == planar
 
