@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -227,8 +228,8 @@ def build(name: str, param: int | None = None) -> FiniteGroup:
             return _SIMPLE_BUILDERS[name]()
         if name in _PARAMETRIC_BUILDERS:
             raise ValueError(f"catalog family {name!r} needs a parameter")
-        prefix = next((p for p in ("SD", "D", "Q")
-                       if name.startswith(p) and name[len(p):].isdigit()), None)
+        prefix = next((p for p in ("SD", "D", "Q")  # the order in ASCII digits
+                       if name.startswith(p) and re.fullmatch("[0-9]+", name[len(p):])), None)
         if prefix is None:
             # any other entry, e.g. "PSL(2,8)", loads through its builder
             return build(*entry_by_name(name).builder)

@@ -4,10 +4,11 @@ Covers blocks, girth, complete / complete-bipartite recognition,
 planarity, the closed-form genus formula for K_{m,n}, Euler/Betti
 genus bounds, an exact genus oracle that searches rotation systems, and the
 block dispatch that picks one of them for each block of a graph.
-A graph is held as a list of neighbour sets.  Blocks come from Hopcroft and
-Tarjan's depth-first search (CACM 1973), and planarity from the path
-embedding of Demoucron, Malgrange and Pertuiset (1964), so no graph library
-is needed.
+A graph, and so each block, is held as a list of neighbour sets.  Blocks
+come from Hopcroft and Tarjan's depth-first search (CACM 1973), and
+planarity from the path embedding of Demoucron, Malgrange and Pertuiset
+(1964), so no graph library is needed.  `is_planar` tests each block as the
+dispatch does, which gives the search a floor read off the block's counts.
 """
 
 from __future__ import annotations
@@ -176,29 +177,25 @@ class SimpleGraph:
         return colour
 
     def is_planar(self) -> bool:
-        """No when the edge count rules it out, else whether every block is
-        planar."""
-        if self._too_many_edges(self._two_colouring()):
-            return False
-        blocks, adj = self.blocks(), self.adj
-        if len(blocks) == 1 and len(blocks[0]) == self.n > 4:
-            return _planar_block(dict(enumerate(adj)))  # the block is the graph
-        # a block of at most four vertices is a subgraph of K4
-        return all(_planar_block({v: adj[v] & b for v in b})
-                   for b in map(set, blocks) if len(b) > 4)
+        """Whether every block passes the genus dispatch's planarity test."""
+        return all(block._planar(block._two_colouring()) for _, block in self._block_graphs())
 
-    def _too_many_edges(self, colour) -> bool:
-        """E > 3V - 6, or E > 2V - 4 if `colour` is a two-colouring, as then
-        each face has four sides or more: no plane embedding, by Euler."""
+    def _planar(self, colour) -> bool:
+        """Whether a block is planar, given its two-colouring or None: not if
+        E > 3V - 6, or if two-coloured and E > 2V - 4, as each face then has
+        four sides or more (Euler), and else as the path embedding decides."""
         n = self.n
-        return n >= 3 and self.edge_count > (3 * n - 6 if colour is None else 2 * n - 4)
+        cut = n >= 3 and self.edge_count > (3 * n - 6 if colour is None else 2 * n - 4)
+        return not cut and _planar_block(self.adj)
+
+    def _block_graphs(self):
+        """(vertices, graph) of each block, the graph itself, not a copy, if whole."""
+        for b in self.blocks():
+            yield b, self if len(b) == self.n else self.induced_subgraph(b)
 
     def _block_sum(self) -> tuple:
-        """(vertices, shape, genus) of each block; a block of all of the graph
-        is the graph itself."""
-        return tuple((b, *_block_genus(self if len(b) == self.n
-                                       else self.induced_subgraph(b)))
-                     for b in self.blocks())
+        """(vertices, shape, genus) of each block."""
+        return tuple((b, *_block_genus(block)) for b, block in self._block_graphs())
 
     # -- serialization ----------------------------------------------------
 
@@ -221,7 +218,7 @@ class SimpleGraph:
 
 
 def _planar_block(adj) -> bool:
-    """Whether a biconnected graph, given as {vertex: neighbour set}, is planar.
+    """Whether a biconnected graph, given as its neighbour sets adj[0..n-1], is planar.
 
     Demoucron, Malgrange and Pertuiset's path embedding.  It embeds one edge,
     whose one face runs along both its sides, then repeats: the fragments are
@@ -245,8 +242,7 @@ def _planar_block(adj) -> bool:
     231, 496 and 1,081 vertices take about 5, 14 and 37 ms (2-vCPU Intel
     Xeon VM), where networkx takes 10, 24 and 52 ms.
     """
-    u = min(adj)
-    w = min(adj[u])
+    u, w = 0, min(adj[0])
     faces, faces_at = [[u, w]], {u: {0}, w: {0}}  # embedded vertex -> its faces
 
     def pieces(path):
@@ -432,14 +428,19 @@ def _cyclic_orders(k):
 
 
 def genus_oracle(g: SimpleGraph, lower: int = 0):
-    """Exact genus by a search over rotation systems.
+    """Exact genus of a connected graph, refusing any other, by a search over
+    rotation systems, or None past MAX_ROTATION_SYSTEMS systems.  Stops early
+    at the first system of genus max(lower, Euler lower bound), so `lower`
+    must be a genus the caller has proven, e.g. 1 after a failed planarity test."""
+    return _rotation_search(g, max(lower, genus_lower_bound_euler(g)))
+
+
+def _rotation_search(g: SimpleGraph, floor_genus: int):
+    """genus_oracle's search of a connected g, which stops at genus `floor_genus`.
 
     Covers every assignment of a cyclic order of incident edges at each
     vertex, counts faces and applies Euler's formula; the minimum over all
-    systems is the orientable genus.  Returns None past MAX_ROTATION_SYSTEMS
-    systems.  Stops early at the first system of genus max(lower, Euler lower
-    bound), so `lower` must be a genus the caller has proven, e.g. 1 after a
-    failed planarity test.
+    systems is the orientable genus.
 
     The vertex of highest degree, the hub, leaves the enumeration (as in G.
     Brinkmann's practical genus algorithm, Ars Math. Contemp. 2022).  For
@@ -454,7 +455,6 @@ def genus_oracle(g: SimpleGraph, lower: int = 0):
     and D. M. Jackson, Europ. J. Combin. 13, 1992).  So the hub costs
     O(deg) per setting, and the floor is checked once per setting.
     """
-    floor_genus = max(lower, genus_lower_bound_euler(g))  # refuses a disconnected g
     v, e = g.n, g.edge_count
     if e == 0:
         return 0
@@ -547,14 +547,14 @@ def _block_genus(block: SimpleGraph):
     if mn is not None:
         return (f"K{mn[0]},{mn[1]}",
                 GenusResult.exact(genus_complete_bipartite(*mn), "BipartiteFormula"))
-    if not block._too_many_edges(colour) and _planar_block(dict(enumerate(block.adj))):
+    if block._planar(colour):
         return "other", GenusResult.exact(0, "PlanarTest")
-    genus = genus_oracle(block, lower=1)  # the planarity test failed
-    if genus is not None:
-        return "other", GenusResult.exact(genus, "RotationOracle")
     # a block that failed the planarity test has genus >= 1; it is connected,
-    # so both bounds are read off its counts
+    # so its floor and bounds are read off its counts
     n, e = block.n, block.edge_count
     euler = _euler_lower(n, e)
+    genus = _rotation_search(block, max(1, euler))
+    if genus is not None:
+        return "other", GenusResult.exact(genus, "RotationOracle")
     lower, source = (euler, "EulerLower") if euler >= 1 else (1, "NonPlanarLower")
     return "other", GenusResult.bounds(lower, _betti_upper(n, e), [source, "BettiUpper"])

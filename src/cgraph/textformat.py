@@ -14,13 +14,13 @@ from .groups import MAX_ORDER, FiniteGroup, _greedy, group_from_permutations
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def _cycle_moves(text: str, m: int) -> frozenset:
-    """The (point, image) pairs, 0-based, of the points that a line of
-    disjoint cycles like ``(1 2)(3 4)`` moves; a point in two cycles is refused."""
+def parse_cycles(text: str, m: int):
+    """Parse disjoint-cycle notation like ``(1 2)(3 4)`` into a permutation of
+    0..m-1; a point in two cycles is refused."""
     normalized = text.replace(",", " ")
     if _CYCLE_RE.sub("", normalized).strip():
         raise ValueError(f"malformed cycle notation: {text!r}")
-    images = {}
+    perm, seen = list(range(m)), set()
     for body in _CYCLE_RE.findall(normalized):
         try:
             points = [int(tok) - 1 for tok in body.split()]
@@ -29,17 +29,10 @@ def _cycle_moves(text: str, m: int) -> frozenset:
         if any(not 0 <= pt < m for pt in points) or len(set(points)) != len(points):
             raise ValueError(f"bad cycle ({body}) for degree {m}")
         for pt, image in zip(points, points[1:] + points[:1]):
-            if pt in images:
+            if pt in seen:
                 raise ValueError(f"point {pt + 1} is in two cycles of {text!r}")
-            images[pt] = image
-    return frozenset((pt, image) for pt, image in images.items() if pt != image)
-
-
-def parse_cycles(text: str, m: int):
-    """Parse disjoint-cycle notation like ``(1 2)(3 4)`` into a permutation."""
-    perm = list(range(m))
-    for pt, image in _cycle_moves(text, m):
-        perm[pt] = image
+            seen.add(pt)
+            perm[pt] = image
     return tuple(perm)
 
 
@@ -134,15 +127,14 @@ def group_from_file_text(text: str) -> FiniteGroup:
         if len(mparts) != 2 or not re.fullmatch("[0-9]+", mparts[1]):
             fail(lineno, f"expected 'perm-generators m', got {mode!r}")
         m = bounded(lineno, mparts[1], "permutation degree")
-        gens = {}  # moved points -> line, first occurrences in order
+        gens = {}  # first occurrences in order: a repeated one adds no element
         for rowno, line in rows[2:]:
-            try:  # a repeated generator never adds an element
-                gens.setdefault(_cycle_moves(line, m), line)
+            try:
+                gens.setdefault(parse_cycles(line, m))
             except ValueError as exc:
                 fail(rowno, str(exc))
         try:
-            group = group_from_permutations(
-                parse_cycles(line, m) for line in gens.values())
+            group = group_from_permutations(gens)
         except ValueError as exc:  # the generators close past MAX_ORDER
             fail(lineno, str(exc))
         if group.order != n:

@@ -457,8 +457,11 @@ def test_every_catalog_entry_name_loads(entry):
 
 
 def test_unknown_catalog_name_exits_2():
-    result = invoke(["info", "--name", "PSL(2,9)"])
-    assert one_line_error(result) == "Error: unknown catalog group 'PSL(2,9)'"
+    # an order subscript is read in ASCII digits only: "²" and "٣" are digits
+    # to str.isdigit, and int("٣") is 3
+    for name in ("PSL(2,9)", "SD²", "D٣"):
+        result = invoke(["info", "--name", name])
+        assert one_line_error(result) == f"Error: unknown catalog group {name!r}"
 
 
 def test_catalog_entry_mismatch_exits_2(monkeypatch):

@@ -9,6 +9,8 @@ stdout of `cgraph verify all` and `catalog.json` that of `cgraph
 export-catalog`.  `S5.dot` and `D8_Z4.dot` are the files `cgraph export-dot`
 writes for S5, whose edge order comes from `SimpleGraph.edges`, and for D8*Z4,
 whose labels go through the direct-product pair and the quotient coset labels.
+`help/` holds the `--help` text of `cgraph` and of each command, and the
+stderr of two usage errors, all of which `cli` writes as argparse would.
 """
 
 from pathlib import Path
@@ -66,3 +68,21 @@ def test_export_dot_file_matches_golden(tmp_path):
 
 def test_export_dot_pair_and_coset_labels_match_golden(tmp_path):
     assert_export_dot_matches_golden(tmp_path, "D8_Z4", ["--name", "D8*Z4"])
+
+
+@pytest.mark.parametrize("command", ["cgraph", "info", "genus", "export-dot",
+                                     "export-catalog", "verify"])
+def test_help_matches_golden(command):
+    result = invoke(["--help"] if command == "cgraph" else [command, "--help"])
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert result.stdout == (GOLDEN / "help" / f"{command}.txt").read_text()
+
+
+@pytest.mark.parametrize("case, args", [
+    ("genus_nam_D", ["genus", "--nam", "D"]),
+    ("verify_nonsense", ["verify", "nonsense"]),
+])
+def test_usage_error_matches_golden(case, args):
+    result = invoke(args)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == (GOLDEN / "help" / f"{case}.txt").read_text()

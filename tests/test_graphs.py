@@ -223,19 +223,30 @@ def test_a_chord_across_a_triangular_lattice_makes_it_non_planar():
         1, genus_upper_bound_betti(h), ["BettiUpper", "NonPlanarLower"])
 
 
+def bridged(h, k):
+    """h and k side by side, h's last vertex joined to k's first by a bridge."""
+    joined = nx.disjoint_union(h, k)
+    joined.add_edge(len(h) - 1, len(h))
+    return joined
+
+
 @pytest.mark.parametrize("h, planar", [
     (nx.octahedral_graph(), True),
     (nx.icosahedral_graph(), True),
     (nx.petersen_graph(), False),
     (nx.heawood_graph(), False),
     (nx.triangular_lattice_graph(20, 20), True),  # 231 vertices, 630 edges
-    # one block each, which is_planar() embeds without restricting it
+    # one block each, which is_planar() tests as the graph itself, not a copy
     (to_nx(triangular_lattice(31, 16)), True),  # 496 vertices, 1,395 edges
     (to_nx(chorded_lattice(31, 16)), False),
     (to_nx(triangular_lattice(23, 47)), True),  # 1,081 vertices, 3,104 edges
     (to_nx(chorded_lattice(23, 47)), False),
+    # three blocks each: K4, a bridge, and a planar or a non-planar block
+    (bridged(nx.complete_graph(4), nx.octahedral_graph()), True),
+    (bridged(nx.complete_graph(4), nx.petersen_graph()), False),
 ], ids=["octahedron", "icosahedron", "petersen", "heawood", "lattice231",
-        "lattice496", "lattice496-chord", "lattice1081", "lattice1081-chord"])
+        "lattice496", "lattice496-chord", "lattice1081", "lattice1081-chord",
+        "k4-bridge-octahedron", "k4-bridge-petersen"])
 def test_is_planar_named_graphs(h, planar):
     assert from_nx(h).is_planar() == planar
 
@@ -292,8 +303,9 @@ def test_a_one_block_graph_is_dispatched_without_a_copy(monkeypatch):
 
 
 def test_a_block_is_scanned_once(monkeypatch):
-    # genus_of_graph finds the blocks once, and each block's one
-    # two-colouring serves both the K_{m,n} shape and the edge cut
+    # genus_of_graph finds the blocks once, each block's one two-colouring
+    # serves both the K_{m,n} shape and the edge cut, and a block is connected
+    # by construction, so the search's floor comes without a connectivity search
     calls = Counter()
 
     def counted(name):
@@ -302,13 +314,16 @@ def test_a_block_is_scanned_once(monkeypatch):
             calls[name, id(self)] += 1
             return method(self)
         return wrapper
-    for name in ("blocks", "_two_colouring"):
+    for name in ("blocks", "_two_colouring", "is_connected"):
         monkeypatch.setattr(SimpleGraph, name, counted(name))
+    searched = 0
     for g in one_block_graphs():
         calls.clear()
-        genus_of_graph(g)
+        searched += genus_of_graph(g).certificate == "RotationOracle"
         assert set(calls) <= {("blocks", id(g)), ("_two_colouring", id(g))}
         assert calls["blocks", id(g)] == 1 and calls["_two_colouring", id(g)] <= 1
+        assert calls["is_connected", id(g)] == 0
+    assert searched == 3  # Petersen, Heawood and K4,4 less three matching edges
 
 
 def test_is_planar_subdivided_kuratowski_graphs(k5):
